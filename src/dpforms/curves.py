@@ -4,13 +4,20 @@ Two independent routes are provided on purpose:
 
 * ``closed_form_minus_one_classes`` writes down the known families directly
   (Hirzebruch basis for n <= m+3, plane basis for n = m+4).
-* ``brute_force_minus_one_classes`` searches a bounded coefficient box for all
-  integer vectors D with D^2 = -1 and D.(-K) = 1 that pair non-negatively with
-  the known effective classes (F, Q, each E_i, the section class Delta when
-  n <= m+3, and the distinguished class E_0 when n = m+5), each "unless D is
-  that class itself".  A boundary-stability certificate re-runs the search on
-  the box enlarged by one in every direction and fails loudly if anything new
-  appears, so a silently truncated census cannot escape.
+* ``brute_force_minus_one_classes`` finds, inside a bounded coefficient box,
+  all integer vectors D with D^2 = -1 and D.(-K) = 1 that pair non-negatively
+  with the known effective classes, each "unless D is that class itself":
+  F, Q, each E_i, Delta when n <= m+3 and E_0 when n = m+5 in the Hirzebruch
+  basis; the line e_0, each e_j and Q in the plane basis.  Permuting the
+  block of exceptional coordinates (E_1..E_n, or e_1..e_{m+4} on the conic)
+  fixes the Gram matrix, K and every other tested class.  So the search loops
+  over the head coordinates outside the block, which fix the block's sum and
+  sum of squares, finds each block as a nonincreasing tuple (its entries are
+  -D.E_i <= 0 unless D = E_i), expands it into the orderings that fit the
+  box, and adds the tested classes that are themselves (-1)-classes.  A
+  boundary-stability certificate re-runs the search on the box enlarged by
+  one in every direction and fails loudly if anything new appears, so a
+  silently truncated census cannot escape.
 
 For n = m+5 (and the Hirzebruch basis at n = m+4) the constraint system can
 have solutions arbitrarily far out (for m >= 4, n = m+5 it has infinitely
@@ -178,103 +185,54 @@ def family_classes(families) -> tuple[DivisorClass, ...]:
 
 # --- brute-force oracle ------------------------------------------------------
 
-def _bounded_vectors(bounds, total, sq_total):
-    """Integer vectors v with bounds[i][0] <= v_i <= bounds[i][1],
-    sum(v) = total and sum(v^2) = sq_total.  Exact recursive search with
-    interval and Cauchy-Schwarz pruning."""
-    k = len(bounds)
-    lo_sum = [0] * (k + 1)
-    hi_sum = [0] * (k + 1)
-    lo_sq = [0] * (k + 1)
-    hi_sq = [0] * (k + 1)
-    for i in range(k - 1, -1, -1):
-        lo, hi = bounds[i]
-        if lo > hi:
-            return []
-        lo_sum[i] = lo_sum[i + 1] + lo
-        hi_sum[i] = hi_sum[i + 1] + hi
-        best = 0 if lo <= 0 <= hi else min(lo * lo, hi * hi)
-        lo_sq[i] = lo_sq[i + 1] + best
-        hi_sq[i] = hi_sq[i + 1] + max(lo * lo, hi * hi)
+def _blocks(size, total, squares, lo, hi):
+    """Nonincreasing tuples of `size` integers in [lo, min(hi, 0)] with the
+    given sum and sum of squares.  Each entry bounds the rest of the tuple
+    from above, so interval arithmetic on the sum and the squares plus
+    Cauchy-Schwarz prune every branch that cannot close."""
     out: list[tuple[int, ...]] = []
     cur: list[int] = []
 
-    def rec(idx: int, rem_total: int, rem_sq: int) -> None:
-        if idx == k:
-            if rem_total == 0 and rem_sq == 0:
-                out.append(tuple(cur))
+    def extend(left: int, total: int, squares: int, top: int) -> None:
+        if left == 0:
+            out.append(tuple(cur))
             return
-        lo, hi = bounds[idx]
-        tail = k - idx - 1
-        for v in range(lo, hi + 1):
-            t = rem_total - v
-            s = rem_sq - v * v
-            if t < lo_sum[idx + 1] or t > hi_sum[idx + 1]:
-                continue
-            if s < lo_sq[idx + 1] or s > hi_sq[idx + 1]:
-                continue
-            if tail > 0 and s * tail < t * t:
-                continue
-            cur.append(v)
-            rec(idx + 1, t, s)
-            cur.pop()
+        rest = left - 1
+        for v in range(top, lo - 1, -1):
+            t, s = total - v, squares - v * v
+            # the rest lies in [lo, v] with lo <= v <= 0
+            if (rest * lo <= t <= rest * v and rest * v * v <= s <= rest * lo * lo
+                    and t * t <= rest * s):
+                cur.append(v)
+                extend(rest, t, s, v)
+                cur.pop()
 
-    rec(0, total, sq_total)
+    extend(size, total, squares, min(hi, 0))
     return out
 
 
-def _solve_hirzebruch(model: SurfaceModel, box: SearchBox) -> list[tuple[int, ...]]:
-    m, n = model.m, model.n
-    (a_lo, a_hi), (b_lo, b_hi) = box.intervals[0], box.intervals[1]
-    tail_bounds = box.intervals[2:]
-    use_delta = n <= m + 3
-    use_e0 = n == m + 5
-    e0_vec = (1, m + 2) + (-1,) * n
-    units = {tuple(1 if j == 2 + i else 0 for j in range(n + 2)) for i in range(n)}
-    sols: list[tuple[int, ...]] = []
-    for a in range(max(a_lo, 0), a_hi + 1):  # D.F = a >= 0
-        for b in range(b_lo, b_hi + 1):
-            d = b - m * a
-            if d < 0:  # D.Q >= 0; Q itself never satisfies D^2 = -1
-                continue
-            sum_v = (m - 2) * a - 2 * b + 1  # from D.(-K) = 1
-            sq_v = -m * a * a + 2 * a * b + 1  # from D^2 = -1
-            if sq_v < 0:
-                continue
-            for tail in _bounded_vectors(tail_bounds, sum_v, sq_v):
-                vec = (a, b) + tail
-                # multiplicities c_i = -v_i must be >= 0 unless D = E_i
-                if any(v > 0 for v in tail) and vec not in units:
-                    continue
-                if use_delta:
-                    # D.Delta = a + b + sum(v) = 1 - a - d on candidates
-                    if a + b + sum_v < 0 and vec != (1, m + 1) + (-1,) * n:
-                        continue
-                if use_e0 and 1 - d < 0 and vec != e0_vec:  # D.E_0 = 1 - d
-                    continue
-                sols.append(vec)
-    return sols
+def _orderings(block, intervals):
+    """The distinct orderings of the multiset `block` whose i-th entry lies in intervals[i]."""
+    values = sorted(set(block))
+    counts = [block.count(v) for v in values]
+    out: list[tuple[int, ...]] = []
+    cur: list[int] = []
 
+    def place(i: int) -> None:
+        if i == len(intervals):
+            out.append(tuple(cur))
+            return
+        lo, hi = intervals[i]
+        for k, v in enumerate(values):
+            if counts[k] and lo <= v <= hi:
+                counts[k] -= 1
+                cur.append(v)
+                place(i + 1)
+                cur.pop()
+                counts[k] += 1
 
-def _solve_plane(model: SurfaceModel, box: SearchBox) -> list[tuple[int, ...]]:
-    m = model.m
-    d_lo, d_hi = box.intervals[0]
-    tail_bounds = box.intervals[1:]
-    slots = m + 5
-    units = {tuple(1 if j == i else 0 for j in range(slots)) for i in range(slots)}
-    sols: list[tuple[int, ...]] = []
-    for d in range(max(d_lo, 0), d_hi + 1):  # degree >= 0
-        sum_w = 1 - 3 * d  # from D.(-K) = 1
-        sq_w = d * d + 1  # from D^2 = -1
-        for tail in _bounded_vectors(tail_bounds, sum_w, sq_w):
-            vec = (d,) + tail
-            # multiplicities mu_j = -w_j must be >= 0 unless D = e_j
-            if any(w > 0 for w in tail) and tail not in units:
-                continue
-            if 2 * d + sum(tail[: m + 4]) < 0:  # D.Q >= 0
-                continue
-            sols.append(vec)
-    return sols
+    place(0)
+    return out
 
 
 def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
@@ -282,8 +240,46 @@ def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
         raise ParameterError(
             f"search box has {len(box.intervals)} intervals, model rank is {model.rank}"
         )
-    raw = (_solve_hirzebruch if model.kind == HIRZEBRUCH else _solve_plane)(model, box)
-    return tuple(model.divisor(v) for v in sorted(set(raw)))
+    m, n, iv = model.m, model.n, box.intervals
+    # heads are (prefix, suffix, block sum, block sum of squares), the block
+    # targets following from D.(-K) = 1 and D^2 = -1
+    heads = []
+    if model.kind == HIRZEBRUCH:
+        start, stop = 2, model.rank
+        special = (
+            (delta_class(model),) if n <= m + 3
+            else (distinguished_e0(model),) if n == m + 5 else ()
+        )
+        # D.C = u.D with u = Gram.C, and u is constant on the block for Delta
+        # and E_0, so D.C = u0*a + u1*b + u2*(block sum) is fixed by the head
+        duals = [[sum(g * x for g, x in zip(row, c.coeffs)) for row in model.gram[:3]]
+                 for c in special]
+        (a_lo, a_hi), (b_lo, b_hi) = iv[0], iv[1]
+        for a in range(max(a_lo, 0), a_hi + 1):  # D.F = a >= 0
+            for b in range(max(b_lo, m * a), b_hi + 1):  # D.Q = b - m*a >= 0
+                total = (m - 2) * a - 2 * b + 1
+                if all(u0 * a + u1 * b + u2 * total >= 0 for u0, u1, u2 in duals):
+                    heads.append(((a, b), (), total, -m * a * a + 2 * a * b + 1))
+    else:
+        start, stop, special = 1, model.rank - 1, ()
+        (d_lo, d_hi), (w_lo, w_hi) = iv[0], iv[-1]
+        for d in range(max(d_lo, 0), d_hi + 1):  # degree >= 0
+            # w = coefficient of e_{m+5}: D.e_{m+5} = -w >= 0 and D.Q = 1 - d - w >= 0
+            for w in range(w_lo, min(w_hi, 0, 1 - d) + 1):
+                heads.append(((d,), (w,), 1 - 3 * d - w, d * d + 1 - w * w))
+    # a tested class that is itself a (-1)-class passes every other test, so
+    # it is a solution exactly when it lies in the box
+    exempt = [model.basis_class(i) for i in range(start, model.rank)]
+    exempt += [c for c in special if model.intersect(c, c) == -1]
+    sols = [c.coeffs for c in exempt
+            if all(lo <= x <= hi for x, (lo, hi) in zip(c.coeffs, iv))]
+    block_iv = iv[start:stop]
+    floor = min(lo for lo, _ in block_iv)
+    ceiling = max(hi for _, hi in block_iv)
+    for prefix, suffix, total, squares in heads:
+        for block in _blocks(stop - start, total, squares, floor, ceiling):
+            sols.extend(prefix + v + suffix for v in _orderings(block, block_iv))
+    return tuple(model.divisor(v) for v in sorted(sols))
 
 
 def brute_force_minus_one_classes(

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from math import prod
 
 from .errors import BasisMismatchError, InputFormatError, ParameterError
 
@@ -213,11 +214,12 @@ def k_squared_singular(m: int, n: int) -> Fraction:
     return Fraction(8 - n) + Fraction((m - 2) ** 2, m)
 
 
-def signature_of(gram) -> tuple[int, int]:
-    """Signature (positive, negative) of a symmetric rational matrix.
+def _pivots(gram) -> list[Fraction]:
+    """Diagonal of an exact symmetric congruence diagonalization over Fraction.
 
-    Exact symmetric congruence diagonalization over Fraction; no eigenvalues,
-    no floating point.
+    A row and column that are already zero are skipped and contribute a 0
+    pivot.  Every step (swap, fold, elimination) is a congruence by a matrix
+    of determinant +-1, so the determinant is the product of the pivots.
     """
     a = [[Fraction(x) for x in row] for row in gram]
     r = len(a)
@@ -228,7 +230,7 @@ def signature_of(gram) -> tuple[int, int]:
         for j in range(i):
             if a[i][j] != a[j][i]:
                 raise ParameterError("gram matrix must be symmetric")
-    pos = neg = 0
+    pivots = []
     for k in range(r):
         if a[k][k] == 0:
             pivot = next((l for l in range(k + 1, r) if a[l][l] != 0), None)
@@ -239,17 +241,15 @@ def signature_of(gram) -> tuple[int, int]:
             else:
                 off = next((l for l in range(k + 1, r) if a[k][l] != 0), None)
                 if off is None:
-                    continue  # zero row and column contribute nothing
+                    pivots.append(Fraction(0))  # zero row and column
+                    continue
                 # fold row/col `off` into k to create a nonzero diagonal entry
                 for j in range(r):
                     a[k][j] += a[off][j]
                 for i in range(r):
                     a[i][k] += a[i][off]
         d = a[k][k]
-        if d > 0:
-            pos += 1
-        else:
-            neg += 1
+        pivots.append(d)
         for i in range(k + 1, r):
             f = a[i][k] / d
             if f == 0:
@@ -258,7 +258,17 @@ def signature_of(gram) -> tuple[int, int]:
                 a[i][j] -= f * a[k][j]
             for i2 in range(r):
                 a[i2][i] -= f * a[i2][k]
-    return pos, neg
+    return pivots
+
+
+def signature_of(gram) -> tuple[int, int]:
+    """Signature (positive, negative) of a symmetric rational matrix.
+
+    Exact symmetric congruence diagonalization over Fraction; no eigenvalues,
+    no floating point.
+    """
+    pivots = _pivots(gram)
+    return sum(p > 0 for p in pivots), sum(p < 0 for p in pivots)
 
 
 def lattice_signature(model: SurfaceModel) -> tuple[int, int]:
@@ -266,22 +276,8 @@ def lattice_signature(model: SurfaceModel) -> tuple[int, int]:
 
 
 def gram_determinant(model: SurfaceModel) -> int:
-    """Exact determinant of the Gram matrix (Gaussian elimination over Fraction)."""
-    a = [[Fraction(x) for x in row] for row in model.gram]
-    r = len(a)
-    det = Fraction(1)
-    for k in range(r):
-        pivot = next((i for i in range(k, r) if a[i][k] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            det = -det
-        det *= a[k][k]
-        for i in range(k + 1, r):
-            f = a[i][k] / a[k][k]
-            for j in range(k, r):
-                a[i][j] -= f * a[k][j]
+    """Exact determinant of the Gram matrix: the product of its pivots."""
+    det = prod(_pivots(model.gram), start=Fraction(1))
     if det.denominator != 1:
         raise AssertionError("integer matrix produced non-integer determinant")
     return int(det)

@@ -25,7 +25,7 @@ from functools import reduce
 from math import gcd, isqrt
 from typing import Iterable
 
-from .errors import ParameterError, UnsupportedModelError
+from .errors import ParameterError
 
 RationalLike = Fraction | int
 
@@ -324,22 +324,13 @@ def factor_over_rationals(p: UnivariatePoly) -> Factorization:
     return Factorization(unit=unit, factors=tuple(factors), unresolved=unresolved)
 
 
-def ci_split_polynomial(
-    h: BinaryForm,
-    f: BinaryForm | None = None,
-    g: BinaryForm | None = None,
-) -> UnivariatePoly:
+def ci_split_polynomial(h: BinaryForm) -> UnivariatePoly:
     """Splitting polynomial p(a) = (1 - a^2/4) h(1, a) in primitive integer form.
 
-    Only the reduced model with f = g = 0 is supported; h must be a nonzero
+    Only the reduced model with f = g = 0 is analyzed; h must be a nonzero
     form of even degree 2m with m >= 2.  Roots of p are the parameter values
     whose hyperplane section decomposes; a = +/-2 are always roots.
     """
-    for name, extra in (("f", f), ("g", g)):
-        if extra is not None and not extra.is_zero:
-            raise UnsupportedModelError(
-                f"nonzero {name} is not supported; only the reduced model f = g = 0 is analyzed"
-            )
     if h.is_zero:
         raise ParameterError("h must be nonzero")
     if h.degree % 2 != 0 or h.degree < 4:

@@ -1,5 +1,6 @@
 """Curve censuses: closed forms, the search oracle, and its certificate."""
 
+from itertools import product
 from math import comb
 
 import pytest
@@ -142,6 +143,61 @@ def test_window_census_semantics():
     assert len(base) == 134
     assert len(widened) == 176
     assert {c.coeffs for c in base} <= {c.coeffs for c in widened}
+    # (m, n): window counts on the default box and on the box enlarged by 2
+    expected = {(3, 8): (339, 683), (4, 9): (820, 2404), (5, 10): (1878, 6798),
+                (6, 11): (4137, 4137), (5, 9): (237, 273)}
+    for (m, n), counts in expected.items():
+        model = build_model(m, n)
+        box = default_search_box(model)
+        got = tuple(
+            len(brute_force_minus_one_classes(model, box=b, certify=False))
+            for b in (box, box.enlarged(2))
+        )
+        assert got == counts, (m, n)
+
+
+def _scan(model, box):
+    """The (-1)-classes of the box straight from the definition, by exhaustive scan."""
+    def dual(c):
+        return [sum(g * x for g, x in zip(row, c.coeffs)) for row in model.gram]
+
+    named = model.distinguished
+    if model.kind == PLANE:
+        effective = [named[f"e_{j}"] for j in range(model.rank)] + [named["Q"]]
+    else:
+        effective = [named["Q"], named["F"]] + [named[f"E_{i}"] for i in range(1, model.n + 1)]
+        if model.n <= model.m + 3:
+            effective.append(delta_class(model))
+        if model.n == model.m + 5:
+            effective.append(distinguished_e0(model))
+    anti = dual(anticanonical_class(model))
+    tests = [(c.coeffs, dual(c)) for c in effective]
+    out = []
+    for v in product(*(range(lo, hi + 1) for lo, hi in box.intervals)):
+        if sum(map(int.__mul__, v, anti)) != 1:
+            continue
+        if any(sum(map(int.__mul__, v, u)) < 0 and v != c for c, u in tests):
+            continue
+        if model.intersect(model.divisor(v), model.divisor(v)) == -1:
+            out.append(v)
+    return out
+
+
+def test_census_matches_exhaustive_scan():
+    # non-uniform boxes, with room for positive entries on some coordinates
+    cases = [
+        (build_model(3, 4), ((0, 1), (-1, 4), (-2, 1), (-1, 0), (-1, 2), (-3, 0)), 7),
+        (build_model(2, 6, PLANE),
+         ((0, 2), (-1, 1), (-2, 0), (-1, 1), (0, 1), (-2, 1), (-1, 0), (-2, 2)), 25),
+        (build_model(4, 8, PLANE),
+         ((-1, 3), (-1, 0), (-2, 0), (-1, 1), (-1, 0), (-2, 0), (-1, 0), (-1, 1), (-1, 0),
+          (-2, 1)), 137),
+    ]
+    for model, intervals, count in cases:
+        box = SearchBox(intervals)
+        census = [c.coeffs for c in brute_force_minus_one_classes(model, box=box, certify=False)]
+        assert census == _scan(model, box)
+        assert len(census) == count
 
 
 def test_boundary_census_is_stable_at_m_plus_4():

@@ -1,6 +1,8 @@
 """Lattice models: Gram data, invariants, arithmetic, serialization."""
 
+import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -102,6 +104,41 @@ def test_unimodular_and_signature():
 def test_signature_of_plain_matrix():
     assert signature_of(((2, 0), (0, -3))) == (1, 1)
     assert signature_of(((0, 1), (1, 0))) == (1, 1)
+
+
+def _sign_changes(coeffs) -> int:
+    signs = [c > 0 for c in coeffs if c != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def test_signature_and_determinant_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20251)
+    for trial in range(200):
+        r = rng.randint(1, 6)
+        a = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+        if trial % 4 == 1:  # zero diagonal
+            for i in range(r):
+                a[i][i] = 0
+        elif trial % 4 == 2 and r > 1:  # singular: one row/column repeats another
+            i, j = rng.sample(range(r), 2)
+            for k in range(r):
+                a[j][k] = a[i][k]
+            for k in range(r):
+                a[k][j] = a[k][i]
+        elif trial % 4 == 3:  # singular: a zero row and column
+            i = rng.randrange(r)
+            for k in range(r):
+                a[i][k] = a[k][i] = 0
+        mat = sympy.Matrix(a)
+        coeffs = mat.charpoly().all_coeffs()  # highest degree first
+        flipped = [c * (-1) ** (r - k) for k, c in enumerate(coeffs)]
+        # all eigenvalues are real, so Descartes' rule counts them exactly
+        assert signature_of(a) == (_sign_changes(coeffs), _sign_changes(flipped)), a
+        assert gram_determinant(SimpleNamespace(gram=a)) == mat.det(), a
 
 
 def test_divisor_arithmetic():

@@ -6,7 +6,6 @@ import pytest
 
 from dpforms import (
     ParameterError,
-    UnsupportedModelError,
     binary_form,
     ci_split_polynomial,
     factor_over_rationals,
@@ -78,8 +77,6 @@ def test_ci_split_polynomial_validation():
         ci_split_polynomial(binary_form([0, 0, 0]))
     with pytest.raises(ParameterError):
         ci_split_polynomial(binary_form([1, 0, 1]))
-    with pytest.raises(UnsupportedModelError):
-        ci_split_polynomial(binary_form([1, 0, 0, 0, 1]), f=binary_form([1, 0]))
 
 
 def test_factorization_certified():
