@@ -23,20 +23,13 @@ from fractions import Fraction
 
 import jsonschema
 
-from .curves import (
-    CurveFamily,
-    brute_force_minus_one_classes,
-    closed_form_minus_one_classes,
-    curves_meeting_q,
-    default_search_box,
-)
+from .curves import default_search_box, family_classes, minus_one_census
 from .errors import (
     InputFormatError,
     InternalInvariantError,
     InvalidActionError,
     ParameterError,
     ToolkitError,
-    UnsupportedModelError,
 )
 from .galois import (
     GaloisAction,
@@ -140,14 +133,14 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 
 
 def _cmd_curves(args: argparse.Namespace) -> int:
+    if args.bound < 0:
+        raise ParameterError(f"--bound must be >= 0, got {args.bound}")
     model = build_model(args.m, args.n, args.kind)
-    box = default_search_box(model)
-    if args.bound:
-        box = box.enlarged(args.bound)
+    families, certified = minus_one_census(model, default_search_box(model).enlarged(args.bound))
 
     if args.meeting_q:
-        classes = curves_meeting_q(model, box=box)
-        certified = model.kind == PLANE or model.n <= model.m + 3
+        q = model.distinguished["Q"]
+        classes = [c for c in family_classes(families) if model.intersect(c, q) >= 1]
         if args.json:
             _emit({
                 "format": 1,
@@ -168,13 +161,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             print(f"  {c.coeffs}")
         return 0
 
-    try:
-        families = closed_form_minus_one_classes(model)
-        certified = True
-    except UnsupportedModelError:
-        census = brute_force_minus_one_classes(model, box=box, certify=False)
-        families = (CurveFamily("search_window", tuple(census)),)
-        certified = False
     total = sum(len(fam) for fam in families)
     if args.json:
         _emit({
@@ -520,7 +506,7 @@ def _build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--meeting-q", action="store_true",
                         help="restrict to classes with positive Q-intersection")
     curves.add_argument("--bound", type=int, default=0,
-                        help="enlarge the default search box by this margin")
+                        help="enlarge the default box of a window census by this margin")
     curves.add_argument("--json", action="store_true")
     curves.set_defaults(handler=_cmd_curves)
 
@@ -587,3 +573,7 @@ def run(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    entry()

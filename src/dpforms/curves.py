@@ -1,23 +1,25 @@
 """Census of (-1)-curve classes on the resolved surfaces.
 
-Two independent routes are provided on purpose:
+``minus_one_census`` is the one route to a census: the closed form
+``closed_form_minus_one_classes`` where it exists (Hirzebruch basis for
+n <= m+3, plane basis for n = m+4), certified, and else a window census from
+the search, not certified.  ``curves_meeting_q`` keeps the classes meeting Q.
 
-* ``closed_form_minus_one_classes`` writes down the known families directly
-  (Hirzebruch basis for n <= m+3, plane basis for n = m+4).
-* ``brute_force_minus_one_classes`` finds, inside a bounded coefficient box,
-  all integer vectors D with D^2 = -1 and D.(-K) = 1 that pair non-negatively
-  with the known effective classes, each "unless D is that class itself":
-  F, Q, each E_i, Delta when n <= m+3 and E_0 when n = m+5 in the Hirzebruch
-  basis; the line e_0, each e_j and Q in the plane basis.  Permuting the
-  block of exceptional coordinates (E_1..E_n, or e_1..e_{m+4} on the conic)
-  fixes the Gram matrix, K and every other tested class.  So the search loops
-  over the head coordinates outside the block, which fix the block's sum and
-  sum of squares, finds each block as a nonincreasing tuple (its entries are
-  -D.E_i <= 0 unless D = E_i), expands it into the orderings that fit the
-  box, and adds the tested classes that are themselves (-1)-classes.  A
-  boundary-stability certificate re-runs the search on the box enlarged by
-  one in every direction and fails loudly if anything new appears, so a
-  silently truncated census cannot escape.
+``brute_force_minus_one_classes`` is the search, and the closed forms'
+oracle.  It finds, inside a bounded coefficient box, all integer vectors D
+with D^2 = -1 and D.(-K) = 1 that pair non-negatively with the known
+effective classes, each "unless D is that class itself": F, Q, each E_i,
+Delta when n <= m+3 and E_0 when n = m+5 in the Hirzebruch basis; the line
+e_0, each e_j and Q in the plane basis.  Permuting the block of exceptional
+coordinates (E_1..E_n, or e_1..e_{m+4} on the conic) fixes the Gram matrix,
+K and every other tested class.  So the search loops over the head
+coordinates outside the block, which fix the block's sum and sum of squares,
+finds each block as a nonincreasing tuple (its entries are -D.E_i <= 0 unless
+D = E_i), expands it into the orderings that fit the box, and adds the tested
+classes that are themselves (-1)-classes.  The constraints do not depend on
+the box, so the boundary-stability certificate searches once, on the box
+enlarged by one in every direction, and fails loudly if anything lies outside
+the box.
 
 For n = m+5 (and the Hirzebruch basis at n = m+4) the constraint system can
 have solutions arbitrarily far out (for m >= 4, n = m+5 it has infinitely
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BoxTooSmallError, ParameterError, UnsupportedModelError
-from .lattice import HIRZEBRUCH, PLANE, DivisorClass, SurfaceModel
+from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel
 
 EXCEPTIONAL = "exceptional"
 FIBER_RESIDUAL = "fiber_residual"
@@ -235,6 +237,10 @@ def _orderings(block, intervals):
     return out
 
 
+def _inside(coeffs, intervals) -> bool:
+    return all(lo <= x <= hi for x, (lo, hi) in zip(coeffs, intervals))
+
+
 def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
     if len(box.intervals) != model.rank:
         raise ParameterError(
@@ -271,8 +277,7 @@ def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
     # it is a solution exactly when it lies in the box
     exempt = [model.basis_class(i) for i in range(start, model.rank)]
     exempt += [c for c in special if model.intersect(c, c) == -1]
-    sols = [c.coeffs for c in exempt
-            if all(lo <= x <= hi for x, (lo, hi) in zip(c.coeffs, iv))]
+    sols = [c.coeffs for c in exempt if _inside(c.coeffs, iv)]
     block_iv = iv[start:stop]
     floor = min(lo for lo, _ in block_iv)
     ceiling = max(hi for _, hi in block_iv)
@@ -287,39 +292,52 @@ def brute_force_minus_one_classes(
 ) -> tuple[DivisorClass, ...]:
     """All (-1)-class solutions of the arithmetic constraint system inside the box.
 
-    With certify=True (the default) the search is repeated on the box enlarged
-    by 1 in every direction; any solution appearing only on the enlarged shell
-    raises BoxTooSmallError with that witness.  Pass certify=False for window
-    censuses (n = m+5, or the Hirzebruch basis at n = m+4) where the solution
-    set outgrows every box.
+    With certify=True (the default) the one search runs on the box enlarged
+    by 1 in every direction; a solution outside the box raises
+    BoxTooSmallError with the first such witness, and an empty box, which
+    certifies nothing, raises it with witness None.  Pass certify=False for
+    window censuses (n = m+5, or the Hirzebruch basis at n = m+4) where the
+    solution set outgrows every box.
     """
     if box is None:
         box = default_search_box(model)
-    sols = _solve(model, box)
-    if certify:
-        bigger = _solve(model, box.enlarged(1))
-        if len(bigger) != len(sols):
-            inner = set(sols)
-            witness = next(c for c in bigger if c not in inner)
-            raise BoxTooSmallError(
-                f"box too small: enlarging by 1 found {len(bigger) - len(sols)} further "
-                f"solution(s), e.g. {witness.coeffs}",
-                witness=witness,
-            )
+    if not certify:
+        return _solve(model, box)
+    sols = _solve(model, box.enlarged(1))
+    outside = [c for c in sols if not _inside(c.coeffs, box.intervals)]
+    if outside:
+        raise BoxTooSmallError(
+            f"box too small: enlarging by 1 found {len(outside)} further "
+            f"solution(s), e.g. {outside[0].coeffs}",
+            witness=outside[0],
+        )
+    if box.is_empty:
+        raise BoxTooSmallError("box too small: the search box is empty", witness=None)
     return sols
 
 
-def curves_meeting_q(
-    model: SurfaceModel, box: SearchBox | None = None, certify: bool | None = None
-) -> tuple[DivisorClass, ...]:
-    """Brute-force census filtered to the classes meeting Q (D.Q >= 1).
+def minus_one_census(
+    model: SurfaceModel, box: SearchBox | None = None
+) -> tuple[tuple[CurveFamily, ...], bool]:
+    """The (-1)-class census by family, and whether it is certified complete.
 
-    certify=None resolves to True exactly where a complete census is possible
-    (Hirzebruch n <= m+3, plane basis); beyond that range the result is the
-    window census for the box and is not certified.
+    The closed form where one exists, certified; otherwise a single
+    "search_window" family holding the uncertified search of the box (the
+    default box when None).  The box matters only for a window census.
     """
-    if certify is None:
-        certify = model.kind == PLANE or model.n <= model.m + 3
+    try:
+        return closed_form_minus_one_classes(model), True
+    except UnsupportedModelError:
+        census = brute_force_minus_one_classes(model, box=box, certify=False)
+        return (CurveFamily("search_window", census),), False
+
+
+def curves_meeting_q(model: SurfaceModel, box: SearchBox | None = None) -> tuple[DivisorClass, ...]:
+    """The classes of ``minus_one_census`` that meet Q (D.Q >= 1), sorted.
+
+    Complete exactly where the census is certified; beyond that range the
+    result is the window census for the box.
+    """
     q = model.distinguished["Q"]
-    sols = brute_force_minus_one_classes(model, box=box, certify=certify)
-    return tuple(c for c in sols if model.intersect(c, q) >= 1)
+    families, _ = minus_one_census(model, box)
+    return tuple(c for c in family_classes(families) if model.intersect(c, q) >= 1)

@@ -184,6 +184,16 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _divide_out(q: UnivariatePoly, f: UnivariatePoly) -> tuple[UnivariatePoly, int]:
+    """Divide f out of q while the division is exact: (quotient, multiplicity)."""
+    mult = 0
+    while True:
+        quo, rem = poly_divmod(q, f)
+        if not rem.is_zero:
+            return q, mult
+        q, mult = quo, mult + 1
+
+
 def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
     """All rational roots with multiplicities, found exactly.
 
@@ -212,15 +222,7 @@ def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
             for cand in (Fraction(num, den), Fraction(-num, den)):
                 if q(cand) != 0:
                     continue
-                lin = poly((-cand.numerator, cand.denominator))
-                mult = 0
-                while True:
-                    quo, rem = poly_divmod(q, lin)
-                    if not rem.is_zero:
-                        break
-                    q = quo
-                    mult += 1
-                roots[cand] = mult
+                q, roots[cand] = _divide_out(q, poly((-cand.numerator, cand.denominator)))
     return roots
 
 
@@ -253,40 +255,23 @@ def _quadratic_factors(q: UnivariatePoly) -> tuple[list[tuple[UnivariatePoly, in
     """
     found: list[tuple[UnivariatePoly, int]] = []
     while q.degree >= 4:
-        lead = int(q.coeffs[-1])
-        const = int(q.coeffs[0])
         bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.coeffs[-1])
-        hit = None
-        for l in _divisors(lead):
-            mid_cap = int(2 * l * bound) + 1
-            for c in _divisors(const):
-                for signed_c in (c, -c):
-                    for mid in range(-mid_cap, mid_cap + 1):
-                        if reduce(gcd, (l, abs(mid), abs(signed_c))) != 1:
-                            continue
-                        cand = poly((signed_c, mid, l))
-                        quo, rem = poly_divmod(q, cand)
-                        if rem.is_zero:
-                            hit = (cand, quo)
-                            break
-                    if hit:
-                        break
-                if hit:
-                    break
-            if hit:
+        candidates = (
+            poly((signed_c, mid, l))
+            for l in _divisors(int(q.coeffs[-1]))
+            for c in _divisors(int(q.coeffs[0]))
+            for signed_c in (c, -c)
+            for mid in range(-int(2 * l * bound) - 1, int(2 * l * bound) + 2)
+            if reduce(gcd, (l, abs(mid), abs(signed_c))) == 1
+        )
+        for cand in candidates:
+            quo, mult = _divide_out(q, cand)
+            if mult:
+                found.append((cand, mult))
+                q = quo
                 break
-        if hit is None:
+        else:
             break
-        cand, quo = hit
-        mult = 1
-        while True:
-            quo2, rem2 = poly_divmod(quo, cand)
-            if not rem2.is_zero:
-                break
-            quo = quo2
-            mult += 1
-        found.append((cand, mult))
-        q = quo
     return found, q
 
 
@@ -303,13 +288,7 @@ def factor_over_rationals(p: UnivariatePoly) -> Factorization:
     factors: list[tuple[UnivariatePoly, int]] = []
     for root in sorted(rational_roots(q)) if q.degree >= 1 else []:
         lin = poly((-root.numerator, root.denominator))
-        mult = 0
-        while True:
-            quo, rem = poly_divmod(q, lin)
-            if not rem.is_zero:
-                break
-            q = quo
-            mult += 1
+        q, mult = _divide_out(q, lin)
         factors.append((lin, mult))
     quads, q = _quadratic_factors(q)
     factors.extend(quads)

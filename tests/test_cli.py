@@ -1,10 +1,16 @@
 """Command line behavior: output shape, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from dpforms.cli import run
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _capture(capsys, argv):
@@ -64,6 +70,13 @@ def test_curves_meeting_q_with_bound(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] > 50
+
+
+def test_curves_negative_bound_refused(capsys):
+    for extra in ([], ["--meeting-q"]):
+        code, out, err = _capture(capsys, ["curves", "--m", "2", "--n", "1", "--bound", "-2"] + extra)
+        assert code == 1 and out == ""
+        assert "--bound must be >= 0, got -2" in err
 
 
 def test_rr_table(capsys):
@@ -216,3 +229,14 @@ def test_output_deterministic(capsys):
         second = _capture(capsys, argv)
         assert first == second
         assert first[0] == 0
+
+
+@pytest.mark.parametrize("module", ["dpforms", "dpforms.cli"])
+def test_python_m_runs_cli(capsys, module):
+    argv = ["classify", "--m", "3", "--n", "4"]
+    _, expected, _ = _capture(capsys, argv)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", module] + argv, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stdout == expected

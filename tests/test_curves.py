@@ -25,6 +25,7 @@ from dpforms import (
     delta_class,
     distinguished_e0,
     family_classes,
+    minus_one_census,
 )
 
 
@@ -132,6 +133,44 @@ def test_empty_box_certificate():
     assert brute_force_minus_one_classes(model, box=empty, certify=False) == ()
     with pytest.raises(BoxTooSmallError):
         brute_force_minus_one_classes(model, box=empty, certify=True)
+
+
+def test_certify_refuses_an_empty_box():
+    # enlarging this box by 1 leaves it empty, so the search finds nothing
+    # outside it; an empty box still certifies nothing
+    model = build_model(2, 1)
+    box = default_search_box(model).enlarged(-2)
+    assert box.is_empty
+    assert brute_force_minus_one_classes(model, box=box, certify=False) == ()
+    with pytest.raises(BoxTooSmallError) as info:
+        brute_force_minus_one_classes(model, box=box, certify=True)
+    assert info.value.witness is None
+
+
+def test_census_route():
+    families, certified = minus_one_census(build_model(3, 4))
+    assert certified
+    assert [fam.label for fam in families] == [EXCEPTIONAL, FIBER_RESIDUAL, Q_SECTION]
+    families, certified = minus_one_census(build_model(2, 7))
+    assert not certified
+    assert [(fam.label, len(fam)) for fam in families] == [("search_window", 134)]
+    model = build_model(2, 7)
+    wide = default_search_box(model).enlarged(1)
+    assert minus_one_census(model, wide)[0][0].members == brute_force_minus_one_classes(
+        model, box=wide, certify=False
+    )
+
+
+def test_meeting_q_matches_certified_search():
+    # the product's Q-meeting lists come from the closed form; the certified
+    # search stays their oracle
+    models = [build_model(m, n) for m in range(2, 9) for n in range(1, m + 4)]
+    models += [build_model(m, m + 4, PLANE) for m in range(2, 9)]
+    for model in models:
+        q = model.distinguished["Q"]
+        searched = [c.coeffs for c in brute_force_minus_one_classes(model)
+                    if model.intersect(c, q) >= 1]
+        assert [c.coeffs for c in curves_meeting_q(model)] == searched, model.basis_tag
 
 
 def test_window_census_semantics():
