@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import jsonschema
 
-from .curves import default_search_box, family_classes, minus_one_census
+from .curves import family_classes, minus_one_census
 from .errors import (
     InputFormatError,
     InternalInvariantError,
@@ -61,6 +61,10 @@ from .sections import (
 from .verdicts import classify
 from .verification import run_all
 
+# caps on `curves`: the window grows with --bound, and with m where n >= m+4
+MAX_BOUND = 5
+MAX_CENSUS_M = 12
+
 
 class _Parser(argparse.ArgumentParser):
     """Flag errors must follow the exit-code contract (1), not argparse's 2."""
@@ -81,7 +85,7 @@ def _matrix_lines(rows) -> list[str]:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(json.dumps({"format": 1, **payload}, indent=2))
 
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
@@ -100,7 +104,6 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
     sig = lattice_signature(model)
     if args.json:
         _emit({
-            "format": 1,
             "m": model.m,
             "n": model.n,
             "kind": model.kind,
@@ -135,15 +138,18 @@ def _cmd_lattice(args: argparse.Namespace) -> int:
 def _cmd_curves(args: argparse.Namespace) -> int:
     if args.bound < 0:
         raise ParameterError(f"--bound must be >= 0, got {args.bound}")
+    if args.bound > MAX_BOUND:
+        raise ParameterError(f"--bound must be <= {MAX_BOUND}, got {args.bound}")
+    if args.n >= args.m + 4 and args.m > MAX_CENSUS_M:
+        raise ParameterError(f"curves with n >= m+4 needs m <= {MAX_CENSUS_M}, got m = {args.m}")
     model = build_model(args.m, args.n, args.kind)
-    families, certified = minus_one_census(model, default_search_box(model).enlarged(args.bound))
+    families, certified = minus_one_census(model, args.bound)
 
     if args.meeting_q:
         q = model.distinguished["Q"]
         classes = [c for c in family_classes(families) if model.intersect(c, q) >= 1]
         if args.json:
             _emit({
-                "format": 1,
                 "m": model.m,
                 "n": model.n,
                 "kind": model.kind,
@@ -164,7 +170,6 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     total = sum(len(fam) for fam in families)
     if args.json:
         _emit({
-            "format": 1,
             "m": model.m,
             "n": model.n,
             "kind": model.kind,
@@ -200,7 +205,7 @@ def _cmd_rr(args: argparse.Namespace) -> int:
     if args.max_j is not None and args.n is None:
         raise ParameterError("--max-j requires --n")
 
-    payload: dict = {"format": 1, "m": args.m}
+    payload: dict = {"m": args.m}
     rows = ()
     if args.max_j is not None:
         if args.max_j < 1:
@@ -300,7 +305,6 @@ def _cmd_ell(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = {
-            "format": 1,
             "model": {"m": model.m, "n": model.n, "kind": model.kind},
             "curve_count": len(system),
             "orbits": [[i + 1 for i in orbit] for orbit in orbits],
@@ -343,7 +347,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     verdict = classify(args.m, args.n, ell=args.ell, q_point=args.q_point)
     if args.json:
         _emit({
-            "format": 1,
             "rational": str(verdict.rational),
             "cylindrical": str(verdict.cylindrical),
             "citations": list(verdict.citations),
@@ -369,7 +372,6 @@ def _cmd_sections_ci(args: argparse.Namespace) -> int:
     root_items = sorted(roots.items())
     if args.json:
         _emit({
-            "format": 1,
             "polynomial": poly_text(p, "a"),
             "degree": p.degree,
             "coefficients": [int(c) for c in p.coeffs],
@@ -417,7 +419,6 @@ def _cmd_sections_lines(args: argparse.Namespace) -> int:
     census = line_census(binary_form(_parse_coeffs(args.a)), binary_form(_parse_coeffs(args.b)))
     if args.json:
         _emit({
-            "format": 1,
             "total": census.total_lines,
             "splits": [
                 {
@@ -460,7 +461,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     first = next((r for r in results if not r.passed), None)
     if args.json:
         _emit({
-            "format": 1,
             "passed": ok,
             "first_failure": first.tag if first is not None else None,
             "results": [
@@ -500,13 +500,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lattice.set_defaults(handler=_cmd_lattice)
 
     curves = sub.add_parser("curves", help="census of (-1)-curve classes")
-    curves.add_argument("--m", type=int, required=True)
+    curves.add_argument("--m", type=int, required=True, help=f"at most {MAX_CENSUS_M} if n >= m+4")
     curves.add_argument("--n", type=int, required=True)
     curves.add_argument("--kind", choices=(HIRZEBRUCH, PLANE), default=HIRZEBRUCH)
     curves.add_argument("--meeting-q", action="store_true",
                         help="restrict to classes with positive Q-intersection")
     curves.add_argument("--bound", type=int, default=0,
-                        help="enlarge the default box of a window census by this margin")
+                        help="enlarge the default box of a window census by this margin, "
+                        f"0 to {MAX_BOUND}")
     curves.add_argument("--json", action="store_true")
     curves.set_defaults(handler=_cmd_curves)
 

@@ -3,37 +3,35 @@
 ``minus_one_census`` is the one route to a census: the closed form
 ``closed_form_minus_one_classes`` where it exists (Hirzebruch basis for
 n <= m+3, plane basis for n = m+4), certified, and else a window census from
-the search, not certified.  ``curves_meeting_q`` keeps the classes meeting Q.
+the search of the default box, not certified.  ``curves_meeting_q`` keeps the
+classes meeting Q.
 
 ``brute_force_minus_one_classes`` is the search, and the closed forms'
-oracle.  It finds, inside a bounded coefficient box, all integer vectors D
-with D^2 = -1 and D.(-K) = 1 that pair non-negatively with the known
-effective classes, each "unless D is that class itself": F, Q, each E_i,
-Delta when n <= m+3 and E_0 when n = m+5 in the Hirzebruch basis; the line
-e_0, each e_j and Q in the plane basis.  Permuting the block of exceptional
-coordinates (E_1..E_n, or e_1..e_{m+4} on the conic) fixes the Gram matrix,
-K and every other tested class.  So the search loops over the head
-coordinates outside the block, which fix the block's sum and sum of squares,
-finds each block as a nonincreasing tuple (its entries are -D.E_i <= 0 unless
-D = E_i), expands it into the orderings that fit the box, and adds the tested
-classes that are themselves (-1)-classes.  The constraints do not depend on
-the box, so the boundary-stability certificate searches once, on the box
-enlarged by one in every direction, and fails loudly if anything lies outside
-the box.
+oracle.  It finds all integer vectors D with D^2 = -1 and D.(-K) = 1 that
+pair non-negatively with the known effective classes, each "unless D is that
+class itself": F, Q, each E_i, Delta when n <= m+3 and E_0 when n = m+5 in
+the Hirzebruch basis; the line e_0, each e_j and Q in the plane basis.
+Permuting the block of exceptional coordinates (E_1..E_n, or e_1..e_{m+4} on
+the conic) fixes the Gram matrix, K and every other tested class.  So the
+search loops over the head coordinates outside the block, which fix the
+block's sum and sum of squares, finds each block as a nonincreasing tuple
+(its entries are -D.E_i <= 0 unless D = E_i), expands it into the orderings
+that fit the box, and adds the tested classes that are themselves
+(-1)-classes.
 
-For n = m+5 (and the Hirzebruch basis at n = m+4) the constraint system can
-have solutions arbitrarily far out (for m >= 4, n = m+5 it has infinitely
-many), so no finite box is ever stable there; such censuses are meaningful
-only as "arithmetic classes within the search box" and must be requested with
-``certify=False``.
+Without a box the search runs once on ``_complete_box``, which holds every
+solution by a Cauchy-Schwarz bound wherever K_X^2 > 0 (the del Pezzo range),
+so that census is complete by proof.  Where K_X^2 <= 0 (m >= 4, n = m+5) the
+solutions are unbounded and only a window census of a given box has meaning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import isqrt
 
-from .errors import BoxTooSmallError, ParameterError, UnsupportedModelError
+from .errors import ParameterError, UnsupportedModelError
 from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel
 
 EXCEPTIONAL = "exceptional"
@@ -64,28 +62,17 @@ class SearchBox:
     def enlarged(self, pad: int = 1) -> "SearchBox":
         return SearchBox(tuple((lo - pad, hi + pad) for lo, hi in self.intervals))
 
-    @property
-    def is_empty(self) -> bool:
-        return any(lo > hi for lo, hi in self.intervals)
-
 
 def default_search_box(model: SurfaceModel) -> SearchBox:
-    """The documented default box for the model.
+    """The box of a window census, Hirzebruch basis only.
 
-    Hirzebruch: Q-coefficient a in [0, 2], F-coefficient b in [0, 2m+3]
-    (covering Q-degrees d = D.Q = b - ma in [0, 3] for every admissible a),
+    Q-coefficient a in [0, 2], F-coefficient b in [0, 2m+3] (covering
+    Q-degrees d = D.Q = b - ma in [0, 3] for every admissible a),
     E-coefficients in [-3, 2] (multiplicities c_i = -coeff in [-2, 3]).
-
-    Plane: degree in [0, floor(m/2) + 3]; e_j-coefficients in
-    [-(floor(m/2) + 2), 2], i.e. multiplicities mu_j in [-2, floor(m/2) + 2].
-    The upper multiplicity bound grows with m because Q-avoiding classes carry
-    mu_{m+5} = d - 1 up to floor(m/2) + 1; a flat bound would truncate the
-    census for m >= 4 and the certificate would reject it.
     """
-    if model.kind == HIRZEBRUCH:
-        return SearchBox(((0, 2), (0, 2 * model.m + 3)) + ((-3, 2),) * model.n)
-    top = model.m // 2 + 2
-    return SearchBox(((0, model.m // 2 + 3),) + ((-top, 2),) * (model.m + 5))
+    if model.kind != HIRZEBRUCH:
+        raise UnsupportedModelError("window boxes exist only in the Hirzebruch basis")
+    return SearchBox(((0, 2), (0, 2 * model.m + 3)) + ((-3, 2),) * model.n)
 
 
 def delta_class(model: SurfaceModel) -> DivisorClass:
@@ -237,10 +224,6 @@ def _orderings(block, intervals):
     return out
 
 
-def _inside(coeffs, intervals) -> bool:
-    return all(lo <= x <= hi for x, (lo, hi) in zip(coeffs, intervals))
-
-
 def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
     if len(box.intervals) != model.rank:
         raise ParameterError(
@@ -277,7 +260,7 @@ def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
     # it is a solution exactly when it lies in the box
     exempt = [model.basis_class(i) for i in range(start, model.rank)]
     exempt += [c for c in special if model.intersect(c, c) == -1]
-    sols = [c.coeffs for c in exempt if _inside(c.coeffs, iv)]
+    sols = [c.coeffs for c in exempt if all(lo <= x <= hi for x, (lo, hi) in zip(c.coeffs, iv))]
     block_iv = iv[start:stop]
     floor = min(lo for lo, _ in block_iv)
     ceiling = max(hi for _, hi in block_iv)
@@ -287,57 +270,76 @@ def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
     return tuple(model.divisor(v) for v in sorted(sols))
 
 
-def brute_force_minus_one_classes(
-    model: SurfaceModel, box: SearchBox | None = None, certify: bool = True
-) -> tuple[DivisorClass, ...]:
-    """All (-1)-class solutions of the arithmetic constraint system inside the box.
+def _complete_box(model: SurfaceModel) -> SearchBox:
+    """A box that holds every solution, by proof; it needs K_X^2 > 0.
 
-    With certify=True (the default) the one search runs on the box enlarged
-    by 1 in every direction; a solution outside the box raises
-    BoxTooSmallError with the first such witness, and an empty box, which
-    certifies nothing, raises it with witness None.  Pass certify=False for
-    window censuses (n = m+5, or the Hirzebruch basis at n = m+4) where the
-    solution set outgrows every box.
+    Off the exempt classes each block entry c_i = D.E_i (D.e_j in the plane
+    basis) is >= 0, so c_i <= isqrt(q) and, by Cauchy-Schwarz, s^2 <= N q for
+    the block's sum s, sum of squares q and length N.  Hirzebruch: the head
+    (a, d) = (D.F, D.Q) has a, d >= 0, s = (m+2)a + 2d - 1, q = m a^2 + 2ad + 1,
+    and s^2 <= nq reads 4d^2 + (Ba - 4)d + A a^2 - 2(m+2)a - (n-1) <= 0 with
+    A = (m+2)^2 - nm = m K_X^2 > 0 and B = 4m + 8 - 2n > 0.  Once Ba >= 4,
+    Aa > m+2 and A a^2 > 2(m+2)a + n - 1, no d >= 0 passes for a or any larger
+    a.  Plane: the head (d, u) = (degree, D.e_{m+5}) has d - 1 <= u <= isqrt(d^2 + 1)
+    (D.Q >= 0, q >= 0), s = 3d - u - 1 and q = d^2 + 1 - u^2; for d >= 1,
+    s >= 2d - 1 and q <= 2d, so no head passes once (2d - 1)^2 > 2(m+4)d.
+    Block coefficients lie in [-isqrt(q), 1], the 1 admitting the exempt E_i
+    and e_j; Delta and E_0 have every c_i = 1 and pass as ordinary heads.
     """
-    if box is None:
-        box = default_search_box(model)
-    if not certify:
-        return _solve(model, box)
-    sols = _solve(model, box.enlarged(1))
-    outside = [c for c in sols if not _inside(c.coeffs, box.intervals)]
-    if outside:
-        raise BoxTooSmallError(
-            f"box too small: enlarging by 1 found {len(outside)} further "
-            f"solution(s), e.g. {outside[0].coeffs}",
-            witness=outside[0],
-        )
-    if box.is_empty:
-        raise BoxTooSmallError("box too small: the search box is empty", witness=None)
-    return sols
+    m, n = model.m, model.n
+    if model.kind != HIRZEBRUCH:
+        # the largest d with (2d - 1)^2 <= 2(m+4)d; then u <= d and q <= 2d
+        d = (2 * m + 12 + isqrt((2 * m + 12) ** 2 - 16)) // 8
+        return SearchBox(((0, d),) + ((-isqrt(2 * d), 1),) * (m + 4) + ((-d, 1),))
+    big_a, big_b = (m + 2) ** 2 - n * m, 4 * m + 8 - 2 * n
+    if big_a <= 0:
+        raise UnsupportedModelError(
+            f"no complete census for (m, n) = ({m}, {n}), where K_X^2 <= 0; pass a box")
+    heads, a = [], 0
+    while True:
+        p, r = big_b * a - 4, big_a * a * a - 2 * (m + 2) * a - (n - 1)
+        if p >= 0 and r > 0 and big_a * a > m + 2:
+            break
+        if p * p >= 16 * r and isqrt(p * p - 16 * r) >= p:  # some d >= 0 has 4d^2 + pd + r <= 0
+            heads.append((a, (isqrt(p * p - 16 * r) - p) // 8))  # the largest such d
+        a += 1
+    top = isqrt(max(m * a * a + 2 * a * d + 1 for a, d in heads))
+    head = ((0, max(a for a, _ in heads)), (0, max(m * a + d for a, d in heads)))
+    return SearchBox(head + ((-top, 1),) * n)
 
 
-def minus_one_census(
+def brute_force_minus_one_classes(
     model: SurfaceModel, box: SearchBox | None = None
-) -> tuple[tuple[CurveFamily, ...], bool]:
+) -> tuple[DivisorClass, ...]:
+    """All (-1)-class solutions of the arithmetic constraint system, sorted.
+
+    Without a box, the complete census: one search of ``_complete_box``,
+    which raises UnsupportedModelError where K_X^2 <= 0.  With a box, exactly
+    the solutions inside it (a window census).
+    """
+    return _solve(model, _complete_box(model) if box is None else box)
+
+
+def minus_one_census(model: SurfaceModel, pad: int = 0) -> tuple[tuple[CurveFamily, ...], bool]:
     """The (-1)-class census by family, and whether it is certified complete.
 
     The closed form where one exists, certified; otherwise a single
-    "search_window" family holding the uncertified search of the box (the
-    default box when None).  The box matters only for a window census.
+    "search_window" family holding the search of the default box enlarged by
+    pad, not certified.  pad matters only for a window census.
     """
     try:
         return closed_form_minus_one_classes(model), True
     except UnsupportedModelError:
-        census = brute_force_minus_one_classes(model, box=box, certify=False)
-        return (CurveFamily("search_window", census),), False
+        box = default_search_box(model).enlarged(pad)
+        return (CurveFamily("search_window", brute_force_minus_one_classes(model, box)),), False
 
 
-def curves_meeting_q(model: SurfaceModel, box: SearchBox | None = None) -> tuple[DivisorClass, ...]:
+def curves_meeting_q(model: SurfaceModel) -> tuple[DivisorClass, ...]:
     """The classes of ``minus_one_census`` that meet Q (D.Q >= 1), sorted.
 
     Complete exactly where the census is certified; beyond that range the
-    result is the window census for the box.
+    result is the window census of the default box.
     """
     q = model.distinguished["Q"]
-    families, _ = minus_one_census(model, box)
+    families, _ = minus_one_census(model)
     return tuple(c for c in family_classes(families) if model.intersect(c, q) >= 1)

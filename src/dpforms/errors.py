@@ -24,17 +24,6 @@ class UnsupportedModelError(ToolkitError, ValueError):
     """The requested operation has no meaning for this model (wrong kind or n range)."""
 
 
-class BoxTooSmallError(ToolkitError, RuntimeError):
-    """Boundary-stability certificate failure for a brute-force search box.
-
-    witness is a solution found on the enlarged shell but not inside the box.
-    """
-
-    def __init__(self, message: str, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class InvalidActionError(ToolkitError, ValueError):
     """A purported Galois action does not preserve the curve system."""
 

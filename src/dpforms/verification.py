@@ -25,6 +25,7 @@ from .curves import (
     PLANE_DEGREE,
     brute_force_minus_one_classes,
     closed_form_minus_one_classes,
+    default_search_box,
     distinguished_e0,
     family_classes,
 )
@@ -146,7 +147,7 @@ def check_incidence_law() -> CheckResult:
     checked = 0
     for m in (2, 3, 4):
         model = build_model(m, m + 5, HIRZEBRUCH)
-        census = brute_force_minus_one_classes(model, certify=False)
+        census = brute_force_minus_one_classes(model, default_search_box(model))
         e0 = distinguished_e0(model)
         q = model.distinguished["Q"]
         if not (anticanonical_class(model) - q - e0).is_zero():

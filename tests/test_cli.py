@@ -79,6 +79,20 @@ def test_curves_negative_bound_refused(capsys):
         assert "--bound must be >= 0, got -2" in err
 
 
+def test_curves_caps(capsys):
+    refused = {
+        ("--m", "5", "--n", "10", "--bound", "6"): "--bound must be <= 5, got 6",
+        ("--m", "13", "--n", "17"): "needs m <= 12, got m = 13",
+        ("--m", "13", "--n", "17", "--kind", "plane"): "needs m <= 12, got m = 13",
+    }
+    for argv, message in refused.items():
+        code, out, err = _capture(capsys, ["curves", *argv])
+        assert code == 1 and out == ""
+        assert message in err
+    code, out, _ = _capture(capsys, ["curves", "--m", "13", "--n", "16", "--json"])
+    assert code == 0 and json.loads(out)["certified"] is True
+
+
 def test_rr_table(capsys):
     code, out, _ = _capture(capsys, ["rr", "--m", "4", "--n", "8", "--max-j", "6"])
     assert code == 0
@@ -240,3 +254,13 @@ def test_python_m_runs_cli(capsys, module):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout == expected
+    assert proc.stderr == ""
+
+
+def test_import_leaves_the_cli_unloaded():
+    code = ("import sys, dpforms; loaded = {'dpforms.cli', 'jsonschema'} & set(sys.modules); "
+            "assert not loaded, loaded; assert dpforms.run is sys.modules['dpforms.cli'].run")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

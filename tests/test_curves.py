@@ -1,4 +1,4 @@
-"""Curve censuses: closed forms, the search oracle, and its certificate."""
+"""Curve censuses: closed forms, the search oracle, and its complete box."""
 
 from itertools import product
 from math import comb
@@ -13,7 +13,7 @@ from dpforms import (
     PLANE,
     PLANE_DEGREE,
     Q_SECTION,
-    BoxTooSmallError,
+    HIRZEBRUCH,
     SearchBox,
     UnsupportedModelError,
     anticanonical_class,
@@ -25,8 +25,10 @@ from dpforms import (
     delta_class,
     distinguished_e0,
     family_classes,
+    is_del_pezzo,
     minus_one_census,
 )
+from dpforms.curves import _complete_box
 
 
 def _is_minus_one(model, c) -> bool:
@@ -35,7 +37,7 @@ def _is_minus_one(model, c) -> bool:
 
 
 def test_small_census_counts():
-    expected = {(2, 1): 2, (2, 5): 21, (3, 4): 9, (3, 6): 28, (4, 7): 36}
+    expected = {(2, 1): 2, (2, 5): 21, (2, 6): 44, (3, 4): 9, (3, 6): 28, (4, 7): 36}
     for (m, n), count in expected.items():
         model = build_model(m, n)
         census = brute_force_minus_one_classes(model)
@@ -117,34 +119,63 @@ def test_custom_box_census():
     assert len(census) == 9
 
 
-def test_certificate_failure_has_witness():
+def test_complete_census_past_the_closed_form():
+    # 126 + 56 + 1: the Q-avoiding, D.Q = 1 and D.Q = 2 (E_0) classes
     model = build_model(2, 7)
-    with pytest.raises(BoxTooSmallError) as info:
-        brute_force_minus_one_classes(model, certify=True)
-    witness = info.value.witness
-    assert witness is not None
-    assert _is_minus_one(model, witness)
-    assert witness.coeffs == (3, 6, -2, -2, -2, -2, -1, -1, -1)
+    census = brute_force_minus_one_classes(model)
+    assert len(census) == 183
+    assert all(_is_minus_one(model, c) for c in census)
+    q = model.distinguished["Q"]
+    assert sum(1 for c in census if model.intersect(c, q) >= 1) == 57
 
 
-def test_empty_box_certificate():
+def test_complete_box_holds_every_solution():
+    # every K_X^2 > 0 model with m <= 6, in both bases
+    models = [build_model(m, n) for m in range(2, 7) for n in range(1, m + 6)
+              if is_del_pezzo(m, n)]
+    models += [build_model(m, m + 4, PLANE) for m in range(2, 7)]
+    for model in models:
+        wider = brute_force_minus_one_classes(model, _complete_box(model).enlarged(2))
+        assert wider == brute_force_minus_one_classes(model), model.basis_tag
+
+
+def test_no_complete_census_where_k_squared_is_not_positive():
+    for m, n in ((4, 9), (5, 10)):
+        with pytest.raises(UnsupportedModelError, match=rf"\(m, n\) = \({m}, {n}\)"):
+            brute_force_minus_one_classes(build_model(m, n))
+    with pytest.raises(UnsupportedModelError):
+        default_search_box(build_model(2, 6, PLANE))
+
+
+def _to_plane(m, coeffs):
+    """The isometry hirzebruch(m, m+4) -> plane(m, m+4): Q -> 2e_0 - e_1 - ... - e_{m+4},
+    F -> e_0 - e_1, E_i -> e_0 - e_1 - e_{i+1} (i <= m+3), E_{m+4} -> e_{m+5}."""
+    images = [(2,) + (-1,) * (m + 4) + (0,), (1, -1) + (0,) * (m + 4)]
+    for i in range(1, m + 4):
+        images.append(tuple(1 if j == 0 else -1 if j in (1, i + 1) else 0
+                            for j in range(m + 6)))
+    images.append((0,) * (m + 5) + (1,))
+    return tuple(sum(x * image[j] for x, image in zip(coeffs, images)) for j in range(m + 6))
+
+
+def test_hirzebruch_and_plane_censuses_agree_at_m_plus_4():
+    for m in range(2, 9):
+        hirz, plane = build_model(m, m + 4, HIRZEBRUCH), build_model(m, m + 4, PLANE)
+        basis = [hirz.basis_class(i) for i in range(hirz.rank)]
+        images = [plane.divisor(_to_plane(m, c.coeffs)) for c in basis]
+        assert [[plane.intersect(x, y) for y in images] for x in images] == [
+            list(row) for row in hirz.gram
+        ]
+        assert _to_plane(m, anticanonical_class(hirz).coeffs) == anticanonical_class(plane).coeffs
+        assert _to_plane(m, hirz.distinguished["Q"].coeffs) == plane.distinguished["Q"].coeffs
+        mapped = sorted(_to_plane(m, c.coeffs) for c in brute_force_minus_one_classes(hirz))
+        assert mapped == [c.coeffs for c in brute_force_minus_one_classes(plane)], m
+
+
+def test_empty_box_window():
     model = build_model(2, 1)
-    empty = SearchBox(((1, 0), (1, 0), (1, 0)))
-    assert brute_force_minus_one_classes(model, box=empty, certify=False) == ()
-    with pytest.raises(BoxTooSmallError):
-        brute_force_minus_one_classes(model, box=empty, certify=True)
-
-
-def test_certify_refuses_an_empty_box():
-    # enlarging this box by 1 leaves it empty, so the search finds nothing
-    # outside it; an empty box still certifies nothing
-    model = build_model(2, 1)
-    box = default_search_box(model).enlarged(-2)
-    assert box.is_empty
-    assert brute_force_minus_one_classes(model, box=box, certify=False) == ()
-    with pytest.raises(BoxTooSmallError) as info:
-        brute_force_minus_one_classes(model, box=box, certify=True)
-    assert info.value.witness is None
+    for empty in (SearchBox(((1, 0), (1, 0), (1, 0))), default_search_box(model).enlarged(-2)):
+        assert brute_force_minus_one_classes(model, box=empty) == ()
 
 
 def test_census_route():
@@ -156,9 +187,7 @@ def test_census_route():
     assert [(fam.label, len(fam)) for fam in families] == [("search_window", 134)]
     model = build_model(2, 7)
     wide = default_search_box(model).enlarged(1)
-    assert minus_one_census(model, wide)[0][0].members == brute_force_minus_one_classes(
-        model, box=wide, certify=False
-    )
+    assert minus_one_census(model, 1)[0][0].members == brute_force_minus_one_classes(model, wide)
 
 
 def test_meeting_q_matches_certified_search():
@@ -175,10 +204,8 @@ def test_meeting_q_matches_certified_search():
 
 def test_window_census_semantics():
     model = build_model(2, 7)
-    base = brute_force_minus_one_classes(model, certify=False)
-    widened = brute_force_minus_one_classes(
-        model, box=default_search_box(model).enlarged(1), certify=False
-    )
+    base = brute_force_minus_one_classes(model, default_search_box(model))
+    widened = brute_force_minus_one_classes(model, default_search_box(model).enlarged(1))
     assert len(base) == 134
     assert len(widened) == 176
     assert {c.coeffs for c in base} <= {c.coeffs for c in widened}
@@ -189,7 +216,7 @@ def test_window_census_semantics():
         model = build_model(m, n)
         box = default_search_box(model)
         got = tuple(
-            len(brute_force_minus_one_classes(model, box=b, certify=False))
+            len(brute_force_minus_one_classes(model, box=b))
             for b in (box, box.enlarged(2))
         )
         assert got == counts, (m, n)
@@ -234,14 +261,9 @@ def test_census_matches_exhaustive_scan():
     ]
     for model, intervals, count in cases:
         box = SearchBox(intervals)
-        census = [c.coeffs for c in brute_force_minus_one_classes(model, box=box, certify=False)]
+        census = [c.coeffs for c in brute_force_minus_one_classes(model, box=box)]
         assert census == _scan(model, box)
         assert len(census) == count
-
-
-def test_boundary_census_is_stable_at_m_plus_4():
-    census = brute_force_minus_one_classes(build_model(2, 6), certify=True)
-    assert len(census) == 44
 
 
 def test_meeting_q_window():
@@ -264,7 +286,5 @@ def test_e0_only_at_m_plus_5():
 
 def test_search_box_geometry():
     box = SearchBox(((0, 1), (-1, 1)))
-    assert not box.is_empty
     grown = box.enlarged(2)
     assert grown.intervals == ((-2, 3), (-3, 3))
-    assert SearchBox(((2, 1),)).is_empty
