@@ -37,7 +37,7 @@ def _is_minus_one(model, c) -> bool:
 
 
 def test_small_census_counts():
-    expected = {(2, 1): 2, (2, 5): 21, (2, 6): 44, (3, 4): 9, (3, 6): 28, (4, 7): 36}
+    expected = {(2, 1): 2, (2, 5): 21, (3, 4): 9, (3, 6): 28, (4, 7): 36}
     for (m, n), count in expected.items():
         model = build_model(m, n)
         census = brute_force_minus_one_classes(model)
@@ -119,6 +119,17 @@ def test_custom_box_census():
     assert len(census) == 9
 
 
+def test_certificate_failure_has_witness():
+    # a (-1)-class outside the default window box: the window misses it,
+    # the complete census holds it
+    model = build_model(2, 7)
+    witness = (3, 6, -2, -2, -2, -2, -1, -1, -1)
+    assert _is_minus_one(model, model.divisor(witness))
+    window = brute_force_minus_one_classes(model, default_search_box(model))
+    assert witness not in {c.coeffs for c in window}
+    assert witness in {c.coeffs for c in brute_force_minus_one_classes(model)}
+
+
 def test_complete_census_past_the_closed_form():
     # 126 + 56 + 1: the Q-avoiding, D.Q = 1 and D.Q = 2 (E_0) classes
     model = build_model(2, 7)
@@ -172,10 +183,25 @@ def test_hirzebruch_and_plane_censuses_agree_at_m_plus_4():
         assert mapped == [c.coeffs for c in brute_force_minus_one_classes(plane)], m
 
 
-def test_empty_box_window():
+def test_empty_box_certificate():
+    # an empty window finds nothing; the complete census takes no window
     model = build_model(2, 1)
-    for empty in (SearchBox(((1, 0), (1, 0), (1, 0))), default_search_box(model).enlarged(-2)):
-        assert brute_force_minus_one_classes(model, box=empty) == ()
+    empty = SearchBox(((1, 0), (1, 0), (1, 0)))
+    assert brute_force_minus_one_classes(model, box=empty) == ()
+    assert len(brute_force_minus_one_classes(model)) == 2
+
+
+def test_certify_refuses_an_empty_box():
+    # enlarging the default box by -2 leaves it empty, so its window finds
+    # nothing; a certified census ignores the pad and stays complete
+    model = build_model(2, 1)
+    box = default_search_box(model).enlarged(-2)
+    assert any(lo > hi for lo, hi in box.intervals)
+    assert brute_force_minus_one_classes(model, box=box) == ()
+    families, certified = minus_one_census(model, pad=-2)
+    assert certified
+    assert family_classes(families) == brute_force_minus_one_classes(model)
+    assert all(lo <= hi for lo, hi in _complete_box(model).intervals)
 
 
 def test_census_route():
@@ -264,6 +290,13 @@ def test_census_matches_exhaustive_scan():
         census = [c.coeffs for c in brute_force_minus_one_classes(model, box=box)]
         assert census == _scan(model, box)
         assert len(census) == count
+
+
+def test_boundary_census_is_stable_at_m_plus_4():
+    model = build_model(2, 6)
+    census = brute_force_minus_one_classes(model)
+    assert len(census) == 44
+    assert brute_force_minus_one_classes(model, _complete_box(model).enlarged(1)) == census
 
 
 def test_meeting_q_window():
