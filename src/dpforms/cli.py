@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import jsonschema
 
-from .curves import family_classes, minus_one_census
+from .curves import curves_meeting_q, family_classes, minus_one_census
 from .errors import (
     InputFormatError,
     InternalInvariantError,
@@ -36,7 +36,6 @@ from .galois import (
     build_curve_system,
     compute_ell,
     orbit_partition,
-    standard_curve_system,
 )
 from .lattice import (
     HIRZEBRUCH,
@@ -61,9 +60,14 @@ from .sections import (
 from .verdicts import classify
 from .verification import run_all
 
-# caps on `curves`: the window grows with --bound, and with m where n >= m+4
+# input caps: the window grows with --bound, a census with m where n >= m+4,
+# the closed forms and lattice invariants with m, the ell search with the
+# curve count, and the rr table with --max-j
 MAX_BOUND = 5
 MAX_CENSUS_M = 12
+MAX_M = 100
+MAX_CURVES = 600
+MAX_J = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -88,6 +92,14 @@ def _emit(payload: dict) -> None:
     print(json.dumps({"format": 1, **payload}, indent=2))
 
 
+def _check_m(m: int, n: int | None = None) -> None:
+    """Refuse m > MAX_M, and, for a census (n given), m > MAX_CENSUS_M where n >= m+4."""
+    if m > MAX_M:
+        raise ParameterError(f"m must be <= {MAX_M}, got {m}")
+    if n is not None and n >= m + 4 and m > MAX_CENSUS_M:
+        raise ParameterError(f"curves with n >= m+4 needs m <= {MAX_CENSUS_M}, got m = {m}")
+
+
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     tokens = text.replace(",", " ").split()
     if not tokens:
@@ -99,6 +111,7 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> int:
+    _check_m(args.m)
     model = build_model(args.m, args.n, args.kind)
     mk = anticanonical_class(model)
     sig = lattice_signature(model)
@@ -140,8 +153,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise ParameterError(f"--bound must be >= 0, got {args.bound}")
     if args.bound > MAX_BOUND:
         raise ParameterError(f"--bound must be <= {MAX_BOUND}, got {args.bound}")
-    if args.n >= args.m + 4 and args.m > MAX_CENSUS_M:
-        raise ParameterError(f"curves with n >= m+4 needs m <= {MAX_CENSUS_M}, got m = {args.m}")
+    _check_m(args.m, args.n)
     model = build_model(args.m, args.n, args.kind)
     families, certified = minus_one_census(model, args.bound)
 
@@ -204,12 +216,12 @@ def _cmd_rr(args: argparse.Namespace) -> int:
         raise ParameterError("nothing to do: pass --max-j and/or --embedding")
     if args.max_j is not None and args.n is None:
         raise ParameterError("--max-j requires --n")
+    if args.max_j is not None and args.max_j > MAX_J:
+        raise ParameterError(f"--max-j must be <= {MAX_J}, got {args.max_j}")
 
     payload: dict = {"m": args.m}
     rows = ()
     if args.max_j is not None:
-        if args.max_j < 1:
-            raise ParameterError(f"--max-j must be >= 1, got {args.max_j}")
         rows = anti_plurigenus_table(args.m, args.n, args.max_j)
         payload["n"] = args.n
         payload["rows"] = [
@@ -269,12 +281,14 @@ def _load_instance(path: str) -> dict:
 def _cmd_ell(args: argparse.Namespace) -> int:
     doc = _load_instance(args.instance)
     entry = doc["model"]
-    model = build_model(entry["m"], entry["n"], entry["kind"])
     raw_curves = doc.get("curves", "auto")
-    if raw_curves == "auto":
-        system = standard_curve_system(model)
-    else:
-        system = build_curve_system(model, [model.divisor(tuple(c)) for c in raw_curves])
+    auto = raw_curves == "auto"
+    _check_m(entry["m"], entry["n"] if auto else None)
+    model = build_model(entry["m"], entry["n"], entry["kind"])
+    curves = curves_meeting_q(model) if auto else [model.divisor(tuple(c)) for c in raw_curves]
+    if len(curves) > MAX_CURVES:
+        raise ParameterError(f"ell takes at most {MAX_CURVES} curves, got {len(curves)}")
+    system = build_curve_system(model, list(curves))
     generators = [list(g) for g in doc["galois"]]
     if generators:
         action = GaloisAction.from_one_based(len(system), generators)
@@ -493,34 +507,37 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     lattice = sub.add_parser("lattice", help="model summary and lattice invariants")
-    lattice.add_argument("--m", type=int, required=True)
+    lattice.add_argument("--m", type=int, required=True, help=f"at most {MAX_M}")
     lattice.add_argument("--n", type=int, required=True)
     lattice.add_argument("--kind", choices=(HIRZEBRUCH, PLANE), default=HIRZEBRUCH)
     lattice.add_argument("--json", action="store_true")
     lattice.set_defaults(handler=_cmd_lattice)
 
     curves = sub.add_parser("curves", help="census of (-1)-curve classes")
-    curves.add_argument("--m", type=int, required=True, help=f"at most {MAX_CENSUS_M} if n >= m+4")
+    curves.add_argument("--m", type=int, required=True,
+                        help=f"at most {MAX_M}, and at most {MAX_CENSUS_M} if n >= m+4")
     curves.add_argument("--n", type=int, required=True)
     curves.add_argument("--kind", choices=(HIRZEBRUCH, PLANE), default=HIRZEBRUCH)
     curves.add_argument("--meeting-q", action="store_true",
                         help="restrict to classes with positive Q-intersection")
     curves.add_argument("--bound", type=int, default=0,
-                        help="enlarge the default box of a window census by this margin, "
-                        f"0 to {MAX_BOUND}")
+                        help="enlarge the default box of a window census (K_X^2 <= 0) by "
+                        f"this margin, 0 to {MAX_BOUND}")
     curves.add_argument("--json", action="store_true")
     curves.set_defaults(handler=_cmd_curves)
 
     rr = sub.add_parser("rr", help="anti-plurigenus table and embedding descriptor")
     rr.add_argument("--m", type=int, required=True)
-    rr.add_argument("--n", type=int)
-    rr.add_argument("--max-j", type=int)
+    rr.add_argument("--n", type=int, help="with --max-j, a del Pezzo surface (K_X^2 > 0)")
+    rr.add_argument("--max-j", type=int, help=f"1 to {MAX_J}")
     rr.add_argument("--embedding", action="store_true")
     rr.add_argument("--json", action="store_true")
     rr.set_defaults(handler=_cmd_rr)
 
     ell = sub.add_parser("ell", help="invariant disjoint-curve count from an instance file")
-    ell.add_argument("--instance", required=True, metavar="PATH")
+    ell.add_argument("--instance", required=True, metavar="PATH",
+                     help=f"instance file: m at most {MAX_M} (at most {MAX_CENSUS_M} for "
+                     f'"auto" curves with n >= m+4), at most {MAX_CURVES} curves')
     ell.add_argument("--json", action="store_true")
     ell.set_defaults(handler=_cmd_ell)
 

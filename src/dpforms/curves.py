@@ -2,9 +2,10 @@
 
 ``minus_one_census`` is the one route to a census: the closed form
 ``closed_form_minus_one_classes`` where it exists (Hirzebruch basis for
-n <= m+3, plane basis for n = m+4), certified, and else a window census from
-the search of the default box, not certified.  ``curves_meeting_q`` keeps the
-classes meeting Q.
+n <= m+3, plane basis for n = m+4), else the complete search wherever the
+surface is del Pezzo (K_X^2 > 0, ``lattice.is_del_pezzo``), both certified,
+and else a window census from the search of the default box, not certified.
+``curves_meeting_q`` keeps the classes meeting Q, in census order.
 
 ``brute_force_minus_one_classes`` is the search, and the closed forms'
 oracle.  It finds all integer vectors D with D^2 = -1 and D.(-K) = 1 that
@@ -32,7 +33,7 @@ from itertools import combinations
 from math import isqrt
 
 from .errors import ParameterError, UnsupportedModelError
-from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel
+from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel, is_del_pezzo
 
 EXCEPTIONAL = "exceptional"
 FIBER_RESIDUAL = "fiber_residual"
@@ -287,14 +288,14 @@ def _complete_box(model: SurfaceModel) -> SearchBox:
     and e_j; Delta and E_0 have every c_i = 1 and pass as ordinary heads.
     """
     m, n = model.m, model.n
+    if not is_del_pezzo(m, n):
+        raise UnsupportedModelError(
+            f"no complete census for (m, n) = ({m}, {n}), where K_X^2 <= 0; pass a box")
     if model.kind != HIRZEBRUCH:
         # the largest d with (2d - 1)^2 <= 2(m+4)d; then u <= d and q <= 2d
         d = (2 * m + 12 + isqrt((2 * m + 12) ** 2 - 16)) // 8
         return SearchBox(((0, d),) + ((-isqrt(2 * d), 1),) * (m + 4) + ((-d, 1),))
     big_a, big_b = (m + 2) ** 2 - n * m, 4 * m + 8 - 2 * n
-    if big_a <= 0:
-        raise UnsupportedModelError(
-            f"no complete census for (m, n) = ({m}, {n}), where K_X^2 <= 0; pass a box")
     heads, a = [], 0
     while True:
         p, r = big_b * a - 4, big_a * a * a - 2 * (m + 2) * a - (n - 1)
@@ -323,23 +324,26 @@ def brute_force_minus_one_classes(
 def minus_one_census(model: SurfaceModel, pad: int = 0) -> tuple[tuple[CurveFamily, ...], bool]:
     """The (-1)-class census by family, and whether it is certified complete.
 
-    The closed form where one exists, certified; otherwise a single
-    "search_window" family holding the search of the default box enlarged by
-    pad, not certified.  pad matters only for a window census.
+    Certified exactly where K_X^2 > 0: the closed form where one exists, else
+    one "search" family from the complete search.  Elsewhere (m >= 4, n = m+5)
+    one "search_window" family from the default box enlarged by pad.
     """
     try:
         return closed_form_minus_one_classes(model), True
     except UnsupportedModelError:
-        box = default_search_box(model).enlarged(pad)
-        return (CurveFamily("search_window", brute_force_minus_one_classes(model, box)),), False
+        pass
+    if is_del_pezzo(model.m, model.n):
+        return (CurveFamily("search", brute_force_minus_one_classes(model)),), True
+    box = default_search_box(model).enlarged(pad)
+    return (CurveFamily("search_window", brute_force_minus_one_classes(model, box)),), False
 
 
 def curves_meeting_q(model: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """The classes of ``minus_one_census`` that meet Q (D.Q >= 1), sorted.
+    """The classes of ``minus_one_census`` that meet Q (D.Q >= 1), in census order.
 
-    Complete exactly where the census is certified; beyond that range the
-    result is the window census of the default box.
+    Plane basis: E_1..E_{m+4} then E_1'..E_{m+4}'; Hirzebruch basis: sorted.
+    Complete exactly where the census is certified (K_X^2 > 0).
     """
     q = model.distinguished["Q"]
     families, _ = minus_one_census(model)
-    return tuple(c for c in family_classes(families) if model.intersect(c, q) >= 1)
+    return tuple(c for fam in families for c in fam.members if model.intersect(c, q) >= 1)

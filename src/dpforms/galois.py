@@ -28,12 +28,7 @@ from itertools import combinations
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import (
-    PLANE,
-    DivisorClass,
-    SurfaceModel,
-    anticanonical_class,
-)
+from .lattice import DivisorClass, SurfaceModel, anticanonical_class
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -89,17 +84,8 @@ def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> Curve
 
 
 def standard_curve_system(model: SurfaceModel) -> CurveSystem:
-    """The canonical Q-meeting system used when curves are requested as "auto".
-
-    Plane model: E_1..E_{m+4} followed by E_1'..E_{m+4}'.  Hirzebruch model:
-    the Q-meeting census in sorted coefficient order (a window census when
-    the full list is not finitely enumerable).
-    """
-    if model.kind == PLANE:
-        named = model.distinguished
-        curves = [named[f"E_{i}"] for i in range(1, model.m + 5)]
-        curves += [named[f"E_{i}'"] for i in range(1, model.m + 5)]
-        return build_curve_system(model, curves)
+    """The system of "auto" curves: ``curves_meeting_q`` in census order,
+    complete and Galois-stable wherever K_X^2 > 0, a window elsewhere."""
     return build_curve_system(model, list(curves_meeting_q(model)))
 
 
@@ -303,14 +289,3 @@ def brute_force_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
                 ell=len(members), witness=tuple(members), witness_orbits=tuple(chosen)
             )
     return best
-
-
-def q_point_forced(m: int) -> bool:
-    """Whether the negative section always carries a rational point.
-
-    For odd m the section has odd anticanonical degree 2 - m, so its Galois
-    orbit structure forces a rational point; even m has no such guarantee.
-    """
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    return m % 2 == 1

@@ -176,18 +176,26 @@ class SurfaceModel:
         return named
 
 
+def check_mn(m: int, n: int | None = None) -> tuple[int, int | None]:
+    """(m, n) as integers, refused unless m >= 2 and, when n is given, 1 <= n <= m+5."""
+    m = int(m)
+    if m < 2:
+        raise ParameterError(f"m must be >= 2, got {m}")
+    if n is not None:
+        n = int(n)
+        if not 1 <= n <= m + 5:
+            raise ParameterError(f"n must satisfy 1 <= n <= m+5 = {m + 5}, got {n}")
+    return m, n
+
+
 def build_model(m: int, n: int, kind: str = HIRZEBRUCH) -> SurfaceModel:
     """Construct and validate a lattice model.
 
     m >= 2; 1 <= n <= m+5; the plane basis exists only for n = m+4.
     """
-    m, n = int(m), int(n)
     if kind not in KINDS:
         raise ParameterError(f"unknown basis kind {kind!r}; expected one of {KINDS}")
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    if not 1 <= n <= m + 5:
-        raise ParameterError(f"n must satisfy 1 <= n <= m+5 = {m + 5}, got {n}")
+    m, n = check_mn(m, n)
     if kind == PLANE and n != m + 4:
         raise ParameterError(f"plane basis requires n = m+4 = {m + 4}, got n = {n}")
     return SurfaceModel(m=m, n=n, kind=kind)
@@ -206,12 +214,14 @@ def k_squared_singular(m: int, n: int) -> Fraction:
 
     Exact value 8 - n + (m-2)^2/m.  For n = m+4 this collapses to 4/m.
     """
-    m, n = int(m), int(n)
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    if not 1 <= n <= m + 5:
-        raise ParameterError(f"n must satisfy 1 <= n <= m+5 = {m + 5}, got {n}")
+    m, n = check_mn(m, n)
     return Fraction(8 - n) + Fraction((m - 2) ** 2, m)
+
+
+def is_del_pezzo(m: int, n: int) -> bool:
+    """Whether the contracted surface is del Pezzo, K_X^2 > 0: for every
+    n <= m+4, and at n = m+5 only for m = 2, 3."""
+    return k_squared_singular(m, n) > 0
 
 
 def _pivots(gram) -> list[Fraction]:

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParameterError
-from .lattice import k_squared_singular
+from .lattice import check_mn, is_del_pezzo, k_squared_singular
 
 
 def correction_residue(m: int, j: int) -> int:
     """The residue t = -2j mod m, normalized to 0 <= t <= m-1."""
-    m, j = int(m), int(j)
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
+    m, _ = check_mn(m)
+    j = int(j)
     if j < 0:
         raise ParameterError(f"j must be >= 0, got {j}")
     return (-2 * j) % m
@@ -79,9 +78,7 @@ def embedding_descriptor(m: int) -> EmbeddingDescriptor:
     m = 2u-1: complete intersection of two degree-2u hypersurfaces
               in P(1, 1, u, u, 2u-1).
     """
-    m = int(m)
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
+    m, _ = check_mn(m)
     if m % 2 == 0:
         u = m // 2
         return EmbeddingDescriptor(m=m, weights=(1, 1, u, u + 1), degrees=(2 * u + 2,))
@@ -98,9 +95,15 @@ class TableRow:
 
 
 def anti_plurigenus_table(m: int, n: int, max_j: int) -> tuple[TableRow, ...]:
-    """Rows (j, t, c, h^0) for j = 1..max_j."""
+    """Rows (j, t, c, h^0) for j = 1..max_j.  Refused where K_X^2 <= 0, where
+    the Riemann-Roch value is not h^0 (it turns negative)."""
     if max_j < 1:
         raise ParameterError(f"max_j must be >= 1, got {max_j}")
+    if not is_del_pezzo(m, n):
+        raise ParameterError(
+            f"anti-plurigenus tables need K_X^2 > 0; (m, n) = ({m}, {n}) has "
+            f"K_X^2 = {k_squared_singular(m, n)}"
+        )
     rows = []
     for j in range(1, max_j + 1):
         rows.append(

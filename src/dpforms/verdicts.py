@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InfeasibleEllError, ParameterError
-from .galois import q_point_forced
+from .lattice import check_mn, is_del_pezzo
 
 
 class TriState(enum.Enum):
@@ -48,13 +48,14 @@ class Verdict:
     notes: tuple[str, ...]
 
 
-def is_del_pezzo(m: int, n: int) -> bool:
-    """Whether the blown-up surface is a del Pezzo surface."""
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    if n < 0:
-        raise ParameterError(f"n must be >= 0, got {n}")
-    return (m >= 4 and n <= m + 4) or (m in (2, 3) and n <= m + 5)
+def q_point_forced(m: int) -> bool:
+    """Whether the negative section always carries a rational point.
+
+    For odd m the section has odd anticanonical degree 2 - m, so its Galois
+    orbit structure forces a rational point; even m has no such guarantee.
+    """
+    m, _ = check_mn(m)
+    return m % 2 == 1
 
 
 def feasible_ell(m: int, n: int) -> frozenset[int]:
@@ -63,8 +64,7 @@ def feasible_ell(m: int, n: int) -> frozenset[int]:
     n = m+4: {0..m+2} and m+4 (m+3 never occurs).
     n = m+5: {1..m+3} and m+5, m+6 (ell >= 1 always; m+4 never occurs).
     """
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
+    m, _ = check_mn(m)
     if n == m + 4:
         return frozenset(range(0, m + 3)) | {m + 4}
     if n == m + 5:
@@ -86,10 +86,7 @@ def classify(
     """
     if isinstance(q_point, str):
         q_point = parse_tristate(q_point)
-    if m < 2:
-        raise ParameterError(f"m must be >= 2, got {m}")
-    if not 1 <= n <= m + 5:
-        raise ParameterError(f"n must satisfy 1 <= n <= m+5, got n = {n} with m = {m}")
+    m, n = check_mn(m, n)
 
     notes: list[str] = []
     if not is_del_pezzo(m, n):

@@ -50,12 +50,22 @@ def test_curves_families_json(capsys):
 
 
 def test_curves_window_json(capsys):
-    code, out, _ = _capture(capsys, ["curves", "--m", "2", "--n", "7", "--json"])
+    code, out, _ = _capture(capsys, ["curves", "--m", "4", "--n", "9", "--json"])
     assert code == 0
     doc = json.loads(out)
     assert doc["certified"] is False
-    assert doc["total"] == 134
+    assert doc["total"] == 820
     assert doc["families"][0]["label"] == "search_window"
+
+
+def test_curves_complete_search_json(capsys):
+    # (3, 7) has no closed form in this basis; the complete search certifies it
+    code, out, _ = _capture(capsys, ["curves", "--m", "3", "--n", "7", "--json"])
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["certified"] is True
+    assert doc["total"] == 78
+    assert [fam["label"] for fam in doc["families"]] == ["search"]
 
 
 def test_curves_meeting_q_with_bound(capsys):
@@ -66,10 +76,10 @@ def test_curves_meeting_q_with_bound(capsys):
     assert json.loads(out)["count"] == 12
     code, out, _ = _capture(
         capsys,
-        ["curves", "--m", "2", "--n", "7", "--meeting-q", "--bound", "1", "--json"],
+        ["curves", "--m", "4", "--n", "9", "--meeting-q", "--bound", "2", "--json"],
     )
     assert code == 0
-    assert json.loads(out)["count"] > 50
+    assert json.loads(out)["count"] == 424  # 172 in the default box
 
 
 def test_curves_negative_bound_refused(capsys):
@@ -91,6 +101,69 @@ def test_curves_caps(capsys):
         assert message in err
     code, out, _ = _capture(capsys, ["curves", "--m", "13", "--n", "16", "--json"])
     assert code == 0 and json.loads(out)["certified"] is True
+    code, out, err = _capture(capsys, ["curves", "--m", "101", "--n", "1"])
+    assert code == 1 and out == "" and "m must be <= 100, got 101" in err
+    code, out, _ = _capture(capsys, ["curves", "--m", "100", "--n", "1", "--json"])
+    assert code == 0 and json.loads(out)["total"] == 2
+
+
+def test_lattice_m_cap(capsys):
+    code, out, err = _capture(capsys, ["lattice", "--m", "101", "--n", "1"])
+    assert code == 1 and out == "" and "m must be <= 100, got 101" in err
+    code, out, _ = _capture(capsys, ["lattice", "--m", "100", "--n", "1", "--json"])
+    assert code == 0 and json.loads(out)["rank"] == 3
+
+
+def test_rr_caps(capsys):
+    code, out, err = _capture(capsys, ["rr", "--m", "3", "--n", "7", "--max-j", "1001"])
+    assert code == 1 and out == "" and "--max-j must be <= 1000, got 1001" in err
+    code, out, _ = _capture(capsys, ["rr", "--m", "3", "--n", "7", "--max-j", "1000", "--json"])
+    assert code == 0 and len(json.loads(out)["rows"]) == 1000
+
+
+def test_rr_refuses_k_squared_not_positive(capsys):
+    # bad input, refused before any row: K_X^2 = -1/5 at (5, 10), 0 at (4, 9)
+    for m, n, k2 in ((5, 10, "-1/5"), (4, 9, "0"), (12, 17, "-2/3")):
+        code, out, err = _capture(capsys, ["rr", "--m", str(m), "--n", str(n), "--max-j", "12"])
+        assert code == 1 and out == ""
+        assert f"need K_X^2 > 0; (m, n) = ({m}, {n}) has K_X^2 = {k2}" in err
+    for m, n in ((4, 8), (3, 8)):
+        code, out, _ = _capture(capsys, ["rr", "--m", str(m), "--n", str(n), "--max-j", "12"])
+        assert code == 0 and out.splitlines()[-1].split()[0] == "12"
+
+
+def _ell(tmp_path, capsys, doc):
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc))
+    return _capture(capsys, ["ell", "--instance", str(path), "--json"])
+
+
+def test_ell_caps(tmp_path, capsys, monkeypatch):
+    hirz = {"kind": "hirzebruch"}
+    refused = [
+        ({"m": 101, "n": 1, **hirz}, [[0, 1, -1]], "m must be <= 100, got 101"),
+        ({"m": 13, "n": 17, **hirz}, "auto", "needs m <= 12, got m = 13"),
+        ({"m": 2, "n": 1, **hirz}, [[0, 1, -1]] * 601, "at most 600 curves, got 601"),
+    ]
+    for model, curves, message in refused:
+        code, out, err = _ell(tmp_path, capsys, {"model": model, "curves": curves, "galois": []})
+        assert code == 1 and out == "" and message in err
+    accepted = [
+        ({"m": 100, "n": 1, **hirz}, [[0, 1, -1]], 1),
+        ({"m": 13, "n": 17, **hirz}, [[0, 1, -1] + [0] * 16], 1),
+        ({"m": 12, "n": 16, "kind": "plane"}, "auto", 32),
+    ]
+    for model, curves, count in accepted:
+        code, out, _ = _ell(tmp_path, capsys, {"model": model, "curves": curves, "galois": []})
+        assert code == 0 and json.loads(out)["curve_count"] == count
+    # the curve cap admits exactly MAX_CURVES curves, "auto" systems included
+    monkeypatch.setattr("dpforms.cli.MAX_CURVES", 12)
+    plane = {"m": 2, "n": 6, "kind": "plane"}
+    code, out, _ = _ell(tmp_path, capsys, {"model": plane, "curves": "auto", "galois": []})
+    assert code == 0 and json.loads(out)["curve_count"] == 12
+    monkeypatch.setattr("dpforms.cli.MAX_CURVES", 11)
+    code, out, err = _ell(tmp_path, capsys, {"model": plane, "curves": "auto", "galois": []})
+    assert code == 1 and "at most 11 curves, got 12" in err
 
 
 def test_rr_table(capsys):

@@ -209,23 +209,48 @@ def test_census_route():
     assert certified
     assert [fam.label for fam in families] == [EXCEPTIONAL, FIBER_RESIDUAL, Q_SECTION]
     families, certified = minus_one_census(build_model(2, 7))
+    assert certified
+    assert [(fam.label, len(fam)) for fam in families] == [("search", 183)]
+    # K_X^2 = 0 at (4, 9): a window, which the pad enlarges
+    model = build_model(4, 9)
+    families, certified = minus_one_census(model)
     assert not certified
-    assert [(fam.label, len(fam)) for fam in families] == [("search_window", 134)]
-    model = build_model(2, 7)
+    assert [(fam.label, len(fam)) for fam in families] == [("search_window", 820)]
     wide = default_search_box(model).enlarged(1)
     assert minus_one_census(model, 1)[0][0].members == brute_force_minus_one_classes(model, wide)
 
 
+def test_census_route_grid():
+    # certified exactly where del Pezzo: the closed form, else the no-box
+    # search; elsewhere the default-box window enlarged by the pad
+    models = [build_model(m, n) for m in range(2, 9) for n in range(1, m + 6)]
+    models += [build_model(m, m + 4, PLANE) for m in range(2, 9)]
+    for model in models:
+        for pad in (0, 1):
+            families, certified = minus_one_census(model, pad)
+            assert certified == is_del_pezzo(model.m, model.n), model.basis_tag
+            if families[0].label == "search":
+                assert certified
+                assert families[0].members == brute_force_minus_one_classes(model)
+            elif families[0].label == "search_window":
+                assert not certified
+                box = default_search_box(model).enlarged(pad)
+                assert families[0].members == brute_force_minus_one_classes(model, box)
+            else:
+                assert certified
+                assert families == closed_form_minus_one_classes(model)
+
+
 def test_meeting_q_matches_certified_search():
     # the product's Q-meeting lists come from the closed form; the certified
-    # search stays their oracle
+    # search stays their oracle (as sets: the plane lists come in census order)
     models = [build_model(m, n) for m in range(2, 9) for n in range(1, m + 4)]
     models += [build_model(m, m + 4, PLANE) for m in range(2, 9)]
     for model in models:
         q = model.distinguished["Q"]
         searched = [c.coeffs for c in brute_force_minus_one_classes(model)
                     if model.intersect(c, q) >= 1]
-        assert [c.coeffs for c in curves_meeting_q(model)] == searched, model.basis_tag
+        assert sorted(c.coeffs for c in curves_meeting_q(model)) == searched, model.basis_tag
 
 
 def test_window_census_semantics():
@@ -300,14 +325,16 @@ def test_boundary_census_is_stable_at_m_plus_4():
 
 
 def test_meeting_q_window():
-    model = build_model(2, 7)
-    meeting = curves_meeting_q(model)
-    assert len(meeting) == 50
-    q = model.distinguished["Q"]
-    assert all(model.intersect(c, q) >= 1 for c in meeting)
-    e0 = distinguished_e0(model)
-    assert e0.coeffs in {c.coeffs for c in meeting}
-    assert model.intersect(e0, q) == 2
+    # complete at (2, 7), where K_X^2 > 0; the default window at (4, 9)
+    for (m, n), count in {(2, 7): 57, (4, 9): 172}.items():
+        model = build_model(m, n)
+        meeting = curves_meeting_q(model)
+        assert len(meeting) == count
+        q = model.distinguished["Q"]
+        assert all(model.intersect(c, q) >= 1 for c in meeting)
+        e0 = distinguished_e0(model)
+        assert e0.coeffs in {c.coeffs for c in meeting}
+        assert model.intersect(e0, q) == 2
 
 
 def test_e0_only_at_m_plus_5():

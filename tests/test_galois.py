@@ -17,6 +17,8 @@ from dpforms import (
     compute_ell,
     curves_meeting_q,
     distinguished_e0,
+    family_classes,
+    minus_one_census,
     orbit_partition,
     q_point_forced,
     standard_curve_system,
@@ -132,9 +134,27 @@ def test_structured_hirzebruch_m_plus_5():
 
 
 def test_window_system_reaches_theoretical_maximum():
-    system = standard_curve_system(build_model(2, 7))
-    assert len(system) == 50
-    assert compute_ell(system, GaloisAction.trivial(50)).ell == 8
+    # the complete Q-meeting systems at n = m+5, m = 2, 3 reach ell = m+6
+    for m, count in ((2, 57), (3, 241)):
+        system = standard_curve_system(build_model(m, m + 5))
+        assert len(system) == count
+        assert compute_ell(system, GaloisAction.trivial(count)).ell == m + 6
+
+
+def test_standard_system_follows_census_order():
+    # plane: E_1..E_{m+4} then E_1'..E_{m+4}'; Hirzebruch: the sorted census
+    for m in range(2, 9):
+        model = build_model(m, m + 4, PLANE)
+        named = model.distinguished
+        want = [named[f"E_{i}"] for i in range(1, m + 5)]
+        want += [named[f"E_{i}'"] for i in range(1, m + 5)]
+        assert standard_curve_system(model).curves == tuple(want), m
+        for n in range(1, m + 6):
+            model = build_model(m, n)
+            q = model.distinguished["Q"]
+            census = family_classes(minus_one_census(model)[0])
+            want = tuple(c for c in census if model.intersect(c, q) >= 1)
+            assert standard_curve_system(model).curves == want, model.basis_tag
 
 
 def test_brute_force_limit():

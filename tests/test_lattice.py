@@ -16,12 +16,19 @@ from dpforms import (
     build_model,
     classes_to_document,
     document_to_classes,
+    anti_plurigenus_table,
+    classify,
+    correction_residue,
+    embedding_descriptor,
+    feasible_ell,
     gram_determinant,
     intersect,
+    is_del_pezzo,
     is_unimodular,
     k_squared_singular,
     lattice_signature,
     load_schema,
+    q_point_forced,
     signature_of,
 )
 
@@ -207,3 +214,30 @@ def test_schema_files_load():
     for name in ("model.schema.json", "instance.schema.json"):
         schema = load_schema(name)
         assert schema["$id"].endswith(name)
+
+
+def test_one_parameter_guard():
+    # every entry point taking (m, n) or m refuses with build_model's messages
+    m_and_n = [build_model, k_squared_singular, is_del_pezzo, classify,
+               lambda m, n: anti_plurigenus_table(m, n, 1)]
+    m_only = [lambda m: correction_residue(m, 1), embedding_descriptor, q_point_forced,
+              lambda m: feasible_ell(m, m + 4)]
+    for call in m_and_n + [lambda m, n, f=f: f(m) for f in m_only]:
+        with pytest.raises(ParameterError, match=r"^m must be >= 2, got 1$"):
+            call(1, 3)
+    for call in m_and_n:
+        for n in (0, 9):
+            with pytest.raises(ParameterError, match=rf"^n must satisfy 1 <= n <= m\+5 = 8, got {n}$"):
+                call(3, n)
+    with pytest.raises(ParameterError, match="ell is undefined"):
+        feasible_ell(3, 9)
+
+
+def test_is_del_pezzo_matches_the_table():
+    # the oracle: the table the predicate K_X^2 > 0 replaced
+    def table(m, n):
+        return (m >= 4 and n <= m + 4) or (m in (2, 3) and n <= m + 5)
+
+    for m in range(2, 51):
+        for n in range(1, m + 6):
+            assert is_del_pezzo(m, n) == table(m, n), (m, n)
