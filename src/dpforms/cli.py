@@ -20,10 +20,11 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from itertools import islice
 
 import jsonschema
 
-from .curves import curves_meeting_q, family_classes, minus_one_census
+from .curves import curves_meeting_q, minus_one_census
 from .errors import (
     InputFormatError,
     InternalInvariantError,
@@ -40,9 +41,9 @@ from .galois import (
 from .lattice import (
     HIRZEBRUCH,
     PLANE,
-    anticanonical_class,
     build_model,
     gram_determinant,
+    is_del_pezzo,
     is_unimodular,
     k_squared_singular,
     lattice_signature,
@@ -55,7 +56,6 @@ from .sections import (
     factor_over_rationals,
     line_census,
     poly_text,
-    rational_roots,
 )
 from .verdicts import classify
 from .verification import run_all
@@ -89,7 +89,11 @@ def _matrix_lines(rows) -> list[str]:
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps({"format": 1, **payload}, indent=2))
+    # streamed in batches of encoder chunks: a large census is never one
+    # string, and an unbuffered stdout (PYTHONUNBUFFERED) gets few writes
+    chunks = json.JSONEncoder(indent=2).iterencode({"format": 1, **payload})
+    sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 4096)), ""))
+    print()
 
 
 def _check_m(m: int, n: int | None = None) -> None:
@@ -113,7 +117,7 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
 def _cmd_lattice(args: argparse.Namespace) -> int:
     _check_m(args.m)
     model = build_model(args.m, args.n, args.kind)
-    mk = anticanonical_class(model)
+    mk = model.anticanonical
     sig = lattice_signature(model)
     if args.json:
         _emit({
@@ -155,11 +159,10 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise ParameterError(f"--bound must be <= {MAX_BOUND}, got {args.bound}")
     _check_m(args.m, args.n)
     model = build_model(args.m, args.n, args.kind)
-    families, certified = minus_one_census(model, args.bound)
+    certified = is_del_pezzo(model.m, model.n)
 
     if args.meeting_q:
-        q = model.distinguished["Q"]
-        classes = [c for c in family_classes(families) if model.intersect(c, q) >= 1]
+        classes = curves_meeting_q(model, args.bound)
         if args.json:
             _emit({
                 "m": model.m,
@@ -179,6 +182,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             print(f"  {c.coeffs}")
         return 0
 
+    families = minus_one_census(model, args.bound)
     total = sum(len(fam) for fam in families)
     if args.json:
         _emit({
@@ -381,9 +385,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sections_ci(args: argparse.Namespace) -> int:
     h = binary_form(_parse_coeffs(args.h))
     p = ci_split_polynomial(h)
-    roots = rational_roots(p)
     decomposition = factor_over_rationals(p)
-    root_items = sorted(roots.items())
+    # the linear factors carry every rational root, with its multiplicity
+    root_items = sorted((-f.coeffs[0] / f.coeffs[1], mult)
+                        for f, mult in decomposition.factors if f.degree == 1)
     if args.json:
         _emit({
             "polynomial": poly_text(p, "a"),

@@ -40,7 +40,6 @@ FIBER_RESIDUAL = "fiber_residual"
 Q_SECTION = "q_section"
 DELTA = "delta"
 PLANE_DEGREE = "plane_degree"
-E_ZERO = "e0"
 
 
 @dataclass(frozen=True)
@@ -321,29 +320,31 @@ def brute_force_minus_one_classes(
     return _solve(model, _complete_box(model) if box is None else box)
 
 
-def minus_one_census(model: SurfaceModel, pad: int = 0) -> tuple[tuple[CurveFamily, ...], bool]:
-    """The (-1)-class census by family, and whether it is certified complete.
+def minus_one_census(model: SurfaceModel, pad: int = 0) -> tuple[CurveFamily, ...]:
+    """The (-1)-class census by family.
 
-    Certified exactly where K_X^2 > 0: the closed form where one exists, else
-    one "search" family from the complete search.  Elsewhere (m >= 4, n = m+5)
-    one "search_window" family from the default box enlarged by pad.
+    Complete by proof exactly where K_X^2 > 0 (``lattice.is_del_pezzo``): the
+    closed form where one exists, else one "search" family from the complete
+    search.  Elsewhere (m >= 4, n = m+5) one "search_window" family from the
+    default box enlarged by pad.
     """
     try:
-        return closed_form_minus_one_classes(model), True
+        return closed_form_minus_one_classes(model)
     except UnsupportedModelError:
         pass
     if is_del_pezzo(model.m, model.n):
-        return (CurveFamily("search", brute_force_minus_one_classes(model)),), True
+        return (CurveFamily("search", brute_force_minus_one_classes(model)),)
     box = default_search_box(model).enlarged(pad)
-    return (CurveFamily("search_window", brute_force_minus_one_classes(model, box)),), False
+    return (CurveFamily("search_window", brute_force_minus_one_classes(model, box)),)
 
 
-def curves_meeting_q(model: SurfaceModel) -> tuple[DivisorClass, ...]:
-    """The classes of ``minus_one_census`` that meet Q (D.Q >= 1), in census order.
+def curves_meeting_q(model: SurfaceModel, pad: int = 0) -> tuple[DivisorClass, ...]:
+    """The classes of ``minus_one_census(model, pad)`` that meet Q (D.Q >= 1),
+    in census order: the list that ell's "auto" curves index.
 
     Plane basis: E_1..E_{m+4} then E_1'..E_{m+4}'; Hirzebruch basis: sorted.
-    Complete exactly where the census is certified (K_X^2 > 0).
+    Complete exactly where K_X^2 > 0.
     """
     q = model.distinguished["Q"]
-    families, _ = minus_one_census(model)
+    families = minus_one_census(model, pad)
     return tuple(c for fam in families for c in fam.members if model.intersect(c, q) >= 1)

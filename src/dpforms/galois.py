@@ -28,7 +28,7 @@ from itertools import combinations
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import DivisorClass, SurfaceModel, anticanonical_class
+from .lattice import DivisorClass, SurfaceModel
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -67,7 +67,7 @@ def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> Curve
     if not curves:
         raise ParameterError("curve system must contain at least one curve")
     seen: set[tuple[int, ...]] = set()
-    mk = anticanonical_class(model)
+    mk = model.anticanonical
     for i, c in enumerate(curves):
         if model.intersect(c, c) != -1:
             raise ParameterError(f"curve {i + 1} has self-intersection {model.intersect(c, c)}, expected -1")

@@ -201,14 +201,6 @@ def build_model(m: int, n: int, kind: str = HIRZEBRUCH) -> SurfaceModel:
     return SurfaceModel(m=m, n=n, kind=kind)
 
 
-def intersect(model: SurfaceModel, a: DivisorClass, b: DivisorClass) -> int:
-    return model.intersect(a, b)
-
-
-def anticanonical_class(model: SurfaceModel) -> DivisorClass:
-    return model.anticanonical
-
-
 def k_squared_singular(m: int, n: int) -> Fraction:
     """Self-intersection of the anticanonical class on the singular surface.
 

@@ -43,8 +43,8 @@ from .galois import (
 from .lattice import (
     HIRZEBRUCH,
     PLANE,
-    anticanonical_class,
     build_model,
+    is_del_pezzo,
     is_unimodular,
     k_squared_singular,
     lattice_signature,
@@ -150,7 +150,7 @@ def check_incidence_law() -> CheckResult:
         census = brute_force_minus_one_classes(model, default_search_box(model))
         e0 = distinguished_e0(model)
         q = model.distinguished["Q"]
-        if not (anticanonical_class(model) - q - e0).is_zero():
+        if not (model.anticanonical - q - e0).is_zero():
             problems.append(f"m={m}: -K - Q - E_0 is nonzero")
         if e0.coeffs not in {c.coeffs for c in census}:
             problems.append(f"m={m}: E_0 missing from the census window")
@@ -231,8 +231,9 @@ def check_anti_plurigenus() -> CheckResult:
             if h0_anti_plurigenus(m, m + 4, j) != embedded_h0(m, j):
                 problems.append(f"m={m}, j={j}: formula and monomial count disagree")
     for m in range(2, 13):
-        top_n = m + 5 if m in (2, 3) else m + 4
-        for n in range(1, top_n + 1):
+        for n in range(1, m + 6):
+            if not is_del_pezzo(m, n):
+                continue
             for j in range(1, 13):
                 checked += 1
                 try:
@@ -518,7 +519,7 @@ def check_lattice() -> CheckResult:
             problems.append(f"{model.basis_tag}: not unimodular")
         if lattice_signature(model) != (1, model.rank - 1):
             problems.append(f"{model.basis_tag}: signature {lattice_signature(model)}")
-        mk = anticanonical_class(model)
+        mk = model.anticanonical
         if model.intersect(mk, mk) != 8 - model.n:
             problems.append(f"{model.basis_tag}: (-K)^2 != {8 - model.n}")
     for m in range(2, 13):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from dpforms import PLANE, build_model, curves_meeting_q, standard_curve_system
 from dpforms.cli import run
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -80,6 +81,26 @@ def test_curves_meeting_q_with_bound(capsys):
     )
     assert code == 0
     assert json.loads(out)["count"] == 424  # 172 in the default box
+
+
+def test_curves_meeting_q_lists_the_ell_curves(capsys):
+    # --meeting-q prints, in order, the list that ell's "auto" curves index
+    models = [build_model(m, m + 4, PLANE) for m in range(2, 6)]
+    models += [build_model(m, n) for m in range(2, 6) for n in range(1, m + 5)]
+    for model in models:
+        want = [list(c.coeffs) for c in standard_curve_system(model).curves]
+        argv = ["curves", "--m", str(model.m), "--n", str(model.n), "--kind", model.kind,
+                "--meeting-q"]
+        code, out, _ = _capture(capsys, argv + ["--json"])
+        assert code == 0 and json.loads(out)["classes"] == want, model.basis_tag
+        code, out, _ = _capture(capsys, argv)
+        assert code == 0
+        assert out.splitlines()[3:] == [f"  {tuple(c)}" for c in want], model.basis_tag
+    code, out, _ = _capture(
+        capsys, ["curves", "--m", "4", "--n", "9", "--meeting-q", "--bound", "1", "--json"]
+    )
+    window = curves_meeting_q(build_model(4, 9), 1)
+    assert code == 0 and json.loads(out)["classes"] == [list(c.coeffs) for c in window]
 
 
 def test_curves_negative_bound_refused(capsys):
@@ -316,6 +337,28 @@ def test_output_deterministic(capsys):
         second = _capture(capsys, argv)
         assert first == second
         assert first[0] == 0
+
+
+def test_json_bytes_are_the_indented_document(tmp_path, capsys):
+    # each --json output is exactly json.dumps(document, indent=2) and a newline
+    instance = tmp_path / "instance.json"
+    instance.write_text(json.dumps(
+        {"model": {"m": 2, "n": 6, "kind": "plane"}, "curves": "auto", "galois": []}
+    ))
+    argvs = [
+        ["lattice", "--m", "2", "--n", "6"],
+        ["curves", "--m", "3", "--n", "4"],
+        ["rr", "--m", "3", "--n", "7", "--max-j", "4", "--embedding"],
+        ["ell", "--instance", str(instance)],
+        ["classify", "--m", "2", "--n", "7", "--ell", "4"],
+        ["sections", "ci", "--h", "1,0,0,0,0,0,1"],
+        ["sections", "lines", "--a", "1,0,0,0,1", "--b", "1,0,1"],
+        ["verify"],
+    ]
+    for argv in argvs:
+        code, out, _ = _capture(capsys, argv + ["--json"])
+        assert code == 0, argv
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", argv
 
 
 @pytest.mark.parametrize("module", ["dpforms", "dpforms.cli"])

@@ -7,7 +7,6 @@ import pytest
 
 from dpforms import (
     DELTA,
-    E_ZERO,
     EXCEPTIONAL,
     FIBER_RESIDUAL,
     PLANE,
@@ -16,7 +15,6 @@ from dpforms import (
     HIRZEBRUCH,
     SearchBox,
     UnsupportedModelError,
-    anticanonical_class,
     brute_force_minus_one_classes,
     build_model,
     closed_form_minus_one_classes,
@@ -32,7 +30,7 @@ from dpforms.curves import _complete_box
 
 
 def _is_minus_one(model, c) -> bool:
-    mk = anticanonical_class(model)
+    mk = model.anticanonical
     return model.intersect(c, c) == -1 and model.intersect(c, mk) == 1
 
 
@@ -177,7 +175,7 @@ def test_hirzebruch_and_plane_censuses_agree_at_m_plus_4():
         assert [[plane.intersect(x, y) for y in images] for x in images] == [
             list(row) for row in hirz.gram
         ]
-        assert _to_plane(m, anticanonical_class(hirz).coeffs) == anticanonical_class(plane).coeffs
+        assert _to_plane(m, hirz.anticanonical.coeffs) == plane.anticanonical.coeffs
         assert _to_plane(m, hirz.distinguished["Q"].coeffs) == plane.distinguished["Q"].coeffs
         mapped = sorted(_to_plane(m, c.coeffs) for c in brute_force_minus_one_classes(hirz))
         assert mapped == [c.coeffs for c in brute_force_minus_one_classes(plane)], m
@@ -198,46 +196,41 @@ def test_certify_refuses_an_empty_box():
     box = default_search_box(model).enlarged(-2)
     assert any(lo > hi for lo, hi in box.intervals)
     assert brute_force_minus_one_classes(model, box=box) == ()
-    families, certified = minus_one_census(model, pad=-2)
-    assert certified
+    families = minus_one_census(model, pad=-2)
+    assert [fam.label for fam in families] == [EXCEPTIONAL, FIBER_RESIDUAL]
     assert family_classes(families) == brute_force_minus_one_classes(model)
     assert all(lo <= hi for lo, hi in _complete_box(model).intervals)
 
 
 def test_census_route():
-    families, certified = minus_one_census(build_model(3, 4))
-    assert certified
+    families = minus_one_census(build_model(3, 4))
     assert [fam.label for fam in families] == [EXCEPTIONAL, FIBER_RESIDUAL, Q_SECTION]
-    families, certified = minus_one_census(build_model(2, 7))
-    assert certified
+    families = minus_one_census(build_model(2, 7))
     assert [(fam.label, len(fam)) for fam in families] == [("search", 183)]
     # K_X^2 = 0 at (4, 9): a window, which the pad enlarges
     model = build_model(4, 9)
-    families, certified = minus_one_census(model)
-    assert not certified
+    families = minus_one_census(model)
     assert [(fam.label, len(fam)) for fam in families] == [("search_window", 820)]
     wide = default_search_box(model).enlarged(1)
-    assert minus_one_census(model, 1)[0][0].members == brute_force_minus_one_classes(model, wide)
+    assert minus_one_census(model, 1)[0].members == brute_force_minus_one_classes(model, wide)
 
 
 def test_census_route_grid():
-    # certified exactly where del Pezzo: the closed form, else the no-box
+    # complete exactly where del Pezzo: the closed form, else the no-box
     # search; elsewhere the default-box window enlarged by the pad
     models = [build_model(m, n) for m in range(2, 9) for n in range(1, m + 6)]
     models += [build_model(m, m + 4, PLANE) for m in range(2, 9)]
     for model in models:
         for pad in (0, 1):
-            families, certified = minus_one_census(model, pad)
-            assert certified == is_del_pezzo(model.m, model.n), model.basis_tag
+            families = minus_one_census(model, pad)
+            window = families[0].label == "search_window"
+            assert window == (not is_del_pezzo(model.m, model.n)), model.basis_tag
             if families[0].label == "search":
-                assert certified
                 assert families[0].members == brute_force_minus_one_classes(model)
-            elif families[0].label == "search_window":
-                assert not certified
+            elif window:
                 box = default_search_box(model).enlarged(pad)
                 assert families[0].members == brute_force_minus_one_classes(model, box)
             else:
-                assert certified
                 assert families == closed_form_minus_one_classes(model)
 
 
@@ -287,7 +280,7 @@ def _scan(model, box):
             effective.append(delta_class(model))
         if model.n == model.m + 5:
             effective.append(distinguished_e0(model))
-    anti = dual(anticanonical_class(model))
+    anti = dual(model.anticanonical)
     tests = [(c.coeffs, dual(c)) for c in effective]
     out = []
     for v in product(*(range(lo, hi + 1) for lo, hi in box.intervals)):

@@ -10,7 +10,6 @@ from dpforms import (
     InvalidActionError,
     ParameterError,
     SystemSizeError,
-    anticanonical_class,
     brute_force_ell,
     build_curve_system,
     build_model,
@@ -52,7 +51,7 @@ def test_standard_hirzebruch_system():
 def test_build_curve_system_rejects_bad_members():
     model = build_model(2, 6, PLANE)
     with pytest.raises(ParameterError):
-        build_curve_system(model, [anticanonical_class(model)])
+        build_curve_system(model, [model.anticanonical])
     e1 = model.distinguished["E_1"]
     with pytest.raises(ParameterError):
         build_curve_system(model, [e1, e1])
@@ -152,7 +151,7 @@ def test_standard_system_follows_census_order():
         for n in range(1, m + 6):
             model = build_model(m, n)
             q = model.distinguished["Q"]
-            census = family_classes(minus_one_census(model)[0])
+            census = family_classes(minus_one_census(model))
             want = tuple(c for c in census if model.intersect(c, q) >= 1)
             assert standard_curve_system(model).curves == want, model.basis_tag
 

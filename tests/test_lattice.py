@@ -12,7 +12,6 @@ from dpforms import (
     BasisMismatchError,
     InputFormatError,
     ParameterError,
-    anticanonical_class,
     build_model,
     classes_to_document,
     document_to_classes,
@@ -22,7 +21,6 @@ from dpforms import (
     embedding_descriptor,
     feasible_ell,
     gram_determinant,
-    intersect,
     is_del_pezzo,
     is_unimodular,
     k_squared_singular,
@@ -71,10 +69,10 @@ def test_plane_gram_and_distinguished():
 
 
 def test_anticanonical():
-    assert anticanonical_class(build_model(2, 5)).coeffs == (2, 4, -1, -1, -1, -1, -1)
-    assert anticanonical_class(build_model(3, 4)).coeffs == (2, 5, -1, -1, -1, -1)
+    assert build_model(2, 5).anticanonical.coeffs == (2, 4, -1, -1, -1, -1, -1)
+    assert build_model(3, 4).anticanonical.coeffs == (2, 5, -1, -1, -1, -1)
     plane = build_model(2, 6, PLANE)
-    mk = anticanonical_class(plane)
+    mk = plane.anticanonical
     assert mk.coeffs == (3, -1, -1, -1, -1, -1, -1, -1)
     assert plane.intersect(mk, mk) == 2
 
@@ -83,7 +81,7 @@ def test_anticanonical_square_matches_formula():
     for m in range(2, 7):
         for n in range(1, m + 6):
             model = build_model(m, n)
-            mk = anticanonical_class(model)
+            mk = model.anticanonical
             assert model.intersect(mk, mk) == 8 - n
 
 
@@ -150,20 +148,20 @@ def test_signature_and_determinant_match_sympy():
 
 def test_divisor_arithmetic():
     model = build_model(2, 5)
-    mk = anticanonical_class(model)
+    mk = model.anticanonical
     f = model.basis_class(1)
     combo = 2 * mk - f
     assert combo.coeffs == (4, 7, -2, -2, -2, -2, -2)
     assert (combo - combo).is_zero()
     assert (-f).coeffs == (0, -1, 0, 0, 0, 0, 0)
-    assert intersect(model, mk, f) == 2
+    assert model.intersect(mk, f) == 2
 
 
 def test_basis_mismatch_rejected():
-    a = anticanonical_class(build_model(2, 5))
+    a = build_model(2, 5).anticanonical
     model = build_model(2, 6)
     with pytest.raises(BasisMismatchError):
-        model.intersect(a, anticanonical_class(model))
+        model.intersect(a, model.anticanonical)
 
 
 def test_divisor_length_checked():
@@ -189,7 +187,7 @@ def test_parameter_validation():
 
 def test_document_roundtrip():
     model = build_model(3, 4)
-    classes = [anticanonical_class(model), model.basis_class(2)]
+    classes = [model.anticanonical, model.basis_class(2)]
     doc = classes_to_document(model, classes)
     assert doc["format"] == 1
     assert doc["kind"] == HIRZEBRUCH
@@ -200,7 +198,7 @@ def test_document_roundtrip():
 
 def test_document_validation():
     model = build_model(3, 4)
-    doc = classes_to_document(model, [anticanonical_class(model)])
+    doc = classes_to_document(model, [model.anticanonical])
     doc["surprise"] = True
     with pytest.raises(InputFormatError):
         document_to_classes(doc)
