@@ -68,6 +68,9 @@ MAX_CENSUS_M = 12
 MAX_M = 100
 MAX_CURVES = 600
 MAX_J = 1000
+# "auto" curves at n = m+5 are the window census, which grows with m: 529
+# curves at m = 6 and 871 at m = 7, so from m = 7 on it exceeds MAX_CURVES
+MAX_AUTO_WINDOW_M = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -289,6 +292,11 @@ def _cmd_ell(args: argparse.Namespace) -> int:
     auto = raw_curves == "auto"
     _check_m(entry["m"], entry["n"] if auto else None)
     model = build_model(entry["m"], entry["n"], entry["kind"])
+    if auto and model.n == model.m + 5 and model.m > MAX_AUTO_WINDOW_M:
+        raise ParameterError(
+            f'ell takes at most {MAX_CURVES} curves; "auto" curves at n = m+5 exceed that '
+            f"from m = {MAX_AUTO_WINDOW_M + 1} on, got m = {model.m}"
+        )
     curves = curves_meeting_q(model) if auto else [model.divisor(tuple(c)) for c in raw_curves]
     if len(curves) > MAX_CURVES:
         raise ParameterError(f"ell takes at most {MAX_CURVES} curves, got {len(curves)}")
@@ -559,12 +567,17 @@ def _build_parser() -> argparse.ArgumentParser:
     secsub = sections.add_subparsers(dest="section_command", required=True, parser_class=_Parser)
     ci = secsub.add_parser("ci", help="splitting polynomial of the symmetric model")
     ci.add_argument("--h", required=True, metavar="COEFFS",
-                    help="binary form coefficients, highest x power first")
+                    help="binary form coefficients, highest x power first; "
+                    "write --h=-1,... when the first is negative")
     ci.add_argument("--json", action="store_true")
     ci.set_defaults(handler=_cmd_sections_ci)
     lines = secsub.add_parser("lines", help="census of lines on w^2 = A + B z^2")
-    lines.add_argument("--a", required=True, metavar="COEFFS")
-    lines.add_argument("--b", required=True, metavar="COEFFS")
+    lines.add_argument("--a", required=True, metavar="COEFFS",
+                       help="the form A, highest x power first; "
+                       "write --a=-1,... when the first is negative")
+    lines.add_argument("--b", required=True, metavar="COEFFS",
+                       help="the form B, highest x power first; "
+                       "write --b=-1,... when the first is negative")
     lines.add_argument("--json", action="store_true")
     lines.set_defaults(handler=_cmd_sections_lines)
 

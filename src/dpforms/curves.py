@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import isqrt
+from operator import mul
 
 from .errors import ParameterError, UnsupportedModelError
 from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel, is_del_pezzo
@@ -345,6 +346,6 @@ def curves_meeting_q(model: SurfaceModel, pad: int = 0) -> tuple[DivisorClass, .
     Plane basis: E_1..E_{m+4} then E_1'..E_{m+4}'; Hirzebruch basis: sorted.
     Complete exactly where K_X^2 > 0.
     """
-    q = model.distinguished["Q"]
+    q = model.dual(model.distinguished["Q"])
     families = minus_one_census(model, pad)
-    return tuple(c for fam in families for c in fam.members if model.intersect(c, q) >= 1)
+    return tuple(c for fam in families for c in fam.members if sum(map(mul, q, c.coeffs)) >= 1)

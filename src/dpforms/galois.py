@@ -2,7 +2,9 @@
 
 A curve system indexes a finite list of (-1)-classes on one surface model and
 caches their pairwise intersections together with each curve's intersection
-number against the negative section Q.  A Galois action is given by finitely
+number against the negative section Q.  Each curve is lowered once to its dual
+row ``SurfaceModel.dual``, which checks its basis, and every pairing is that
+row times a raw coefficient vector.  A Galois action is given by finitely
 many generators, each a permutation of the curve indices written as a 1-based
 image list (an infinite Galois group acts through the finite quotient the
 generators present).
@@ -11,7 +13,8 @@ ell is the largest size of a generator-invariant set of curves that all meet
 Q and are pairwise disjoint.  Invariant sets are unions of orbits, so the
 search runs over orbits: an orbit is admissible when it is internally
 disjoint and every member meets Q, two orbits conflict when some cross pair
-intersects, and ell is the maximum weight independent set in that conflict
+intersects (a bitmask of the curves one orbit meets, ANDed with the other's
+members), and ell is the maximum weight independent set in that conflict
 graph with orbit sizes as weights.  `compute_ell` solves this exactly by
 branch and bound; `brute_force_ell` re-derives it by exhausting all unions of
 orbits and exists purely as a cross-check.
@@ -23,8 +26,9 @@ Curve indices inside this module are 0-based positions into
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations
+from operator import mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
@@ -44,16 +48,19 @@ class CurveSystem:
         return len(self.curves)
 
     @cached_property
+    def _duals(self) -> tuple[tuple[int, ...], ...]:
+        # lowering a curve to its dual row checks its basis, once per curve
+        return tuple(map(self.model.dual, self.curves))
+
+    @cached_property
     def pair_gram(self) -> tuple[tuple[int, ...], ...]:
-        ics = self.curves
-        inner = self.model.intersect
-        return tuple(tuple(inner(a, b) for b in ics) for a in ics)
+        rows = [c.coeffs for c in self.curves]
+        return tuple(tuple(sum(map(mul, d, w)) for w in rows) for d in self._duals)
 
     @cached_property
     def q_incidence(self) -> tuple[int, ...]:
-        q = self.model.distinguished["Q"]
-        inner = self.model.intersect
-        return tuple(inner(c, q) for c in self.curves)
+        q = self.model.distinguished["Q"].coeffs
+        return tuple(sum(map(mul, d, q)) for d in self._duals)
 
 
 def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> CurveSystem:
@@ -198,11 +205,6 @@ def _admissible_orbits(
     return out
 
 
-def _orbits_conflict(system: CurveSystem, a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    gram = system.pair_gram
-    return any(gram[i][j] != 0 for i in a for j in b)
-
-
 def _require_valid(system: CurveSystem, action: GaloisAction) -> None:
     report = validate_action(system, action)
     if not report.ok:
@@ -225,12 +227,18 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     cands = sorted(_admissible_orbits(system, orbits), key=lambda o: (-len(o), o))
     k = len(cands)
     sizes = [len(o) for o in cands]
-    compat = [0] * k
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not _orbits_conflict(system, cands[i], cands[j]):
-                compat[i] |= 1 << j
-                compat[j] |= 1 << i
+    # two orbits conflict when one meets a member of the other: a curve's
+    # mask marks the curves it meets, an orbit's the curves its members meet
+    gram = system.pair_gram
+    reach = [reduce(or_, (sum(1 << j for j, x in enumerate(gram[i]) if x) for i in o))
+             for o in cands]
+    members = [sum(1 << i for i in o) for o in cands]
+    compat = [sum(1 << j for j, mem in enumerate(members) if not r & mem) for r in reach]
+    # the bound is the total size of the orbits still available, counted by size
+    by_size: dict[int, int] = {}
+    for i, size in enumerate(sizes):
+        by_size[size] = by_size.get(size, 0) | 1 << i
+    groups = tuple(by_size.items())
 
     best_weight = 0
     best_choice: tuple[int, ...] = ()
@@ -240,7 +248,7 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
         if weight > best_weight:
             best_weight = weight
             best_choice = chosen
-        remaining = sum(sizes[i] for i in _bits(avail))
+        remaining = sum(size * (avail & mask).bit_count() for size, mask in groups)
         while avail:
             if weight + remaining <= best_weight:
                 return

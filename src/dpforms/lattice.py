@@ -28,6 +28,7 @@ from fractions import Fraction
 from functools import cached_property
 from importlib import resources
 from math import prod
+from operator import mul
 
 from .errors import BasisMismatchError, InputFormatError, ParameterError
 
@@ -125,20 +126,31 @@ class SurfaceModel:
     def basis_class(self, index: int) -> DivisorClass:
         return self.divisor(tuple(1 if i == index else 0 for i in range(self.rank)))
 
+    def _owned(self, cls: DivisorClass) -> None:
+        if cls.basis != self.basis_tag:
+            raise BasisMismatchError(
+                f"class in basis {cls.basis!r} paired inside model {self.basis_tag!r}"
+            )
+
+    @cached_property
+    def _gram_entries(self) -> tuple[tuple[int, int, int], ...]:
+        # the nonzero entries (i, j, g_ij): at most rank + 2 of them
+        return tuple((i, j, x) for i, row in enumerate(self.gram) for j, x in enumerate(row) if x)
+
+    def dual(self, cls: DivisorClass) -> tuple[int, ...]:
+        """The dual row gram . v of a class v of this model: v.w is
+        ``sum(map(mul, dual(v), w.coeffs))`` for every class w of this model."""
+        self._owned(cls)
+        v = cls.coeffs
+        row = [0] * self.rank
+        for i, j, x in self._gram_entries:
+            row[i] += x * v[j]
+        return tuple(row)
+
     def intersect(self, a: DivisorClass, b: DivisorClass) -> int:
-        for cls in (a, b):
-            if cls.basis != self.basis_tag:
-                raise BasisMismatchError(
-                    f"class in basis {cls.basis!r} paired inside model {self.basis_tag!r}"
-                )
-        g = self.gram
-        total = 0
-        for i, ai in enumerate(a.coeffs):
-            if ai == 0:
-                continue
-            row = g[i]
-            total += ai * sum(row[j] * bj for j, bj in enumerate(b.coeffs) if bj != 0)
-        return total
+        row = self.dual(a)
+        self._owned(b)
+        return sum(map(mul, row, b.coeffs))
 
     @cached_property
     def anticanonical(self) -> DivisorClass:

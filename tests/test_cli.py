@@ -187,6 +187,26 @@ def test_ell_caps(tmp_path, capsys, monkeypatch):
     assert code == 1 and "at most 11 curves, got 12" in err
 
 
+def test_ell_refuses_oversized_auto_windows_up_front(tmp_path, capsys, monkeypatch):
+    from dpforms.cli import MAX_AUTO_WINDOW_M, MAX_CURVES
+
+    # the premise: the (m, m+5) window fits the cap up to MAX_AUTO_WINDOW_M only
+    counts = [len(curves_meeting_q(build_model(m, m + 5)))
+              for m in (MAX_AUTO_WINDOW_M, MAX_AUTO_WINDOW_M + 1)]
+    assert counts == [529, 871]
+    assert counts[0] <= MAX_CURVES < counts[1]
+
+    def no_census(model, pad=0):
+        raise AssertionError(f"census built for {model.basis_tag}")
+
+    monkeypatch.setattr("dpforms.cli.curves_meeting_q", no_census)
+    for m in range(MAX_AUTO_WINDOW_M + 1, 13):
+        model = {"m": m, "n": m + 5, "kind": "hirzebruch"}
+        code, out, err = _ell(tmp_path, capsys, {"model": model, "curves": "auto", "galois": []})
+        assert code == 1 and out == ""
+        assert f'at most 600 curves; "auto" curves at n = m+5 exceed that from m = 7 on, got m = {m}' in err
+
+
 def test_rr_table(capsys):
     code, out, _ = _capture(capsys, ["rr", "--m", "4", "--n", "8", "--max-j", "6"])
     assert code == 0
@@ -323,6 +343,17 @@ def test_sections_lines(capsys):
     assert all(entry["root"] is None for entry in doc["splits"])
     code, _, err = _capture(capsys, ["sections", "lines", "--a", "1,0,0,0,1", "--b", "1,2,1"])
     assert code == 1 and "squarefree" in err
+
+
+def test_sections_negative_leading_coefficient(capsys):
+    # a list starting with "-" reads as an option unless joined by "="
+    code, _, err = _capture(capsys, ["sections", "ci", "--h", "-1,0,0,0,1"])
+    assert code == 1 and "expected one argument" in err
+    code, out, _ = _capture(capsys, ["sections", "ci", "--h=-1,0,0,0,1", "--json"])
+    assert code == 0
+    assert [r["root"] for r in json.loads(out)["rational_roots"]] == ["-2", "-1", "1", "2"]
+    code, out, _ = _capture(capsys, ["sections", "lines", "--a=-1,0,0,0,2", "--b=1,0,1", "--json"])
+    assert code == 0 and json.loads(out)["total"] == 12
 
 
 def test_output_deterministic(capsys):

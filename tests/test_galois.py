@@ -1,11 +1,15 @@
 """Curve systems, action validation, and the two ell solvers."""
 
 import random
+from itertools import combinations
 
 import pytest
 
 from dpforms import (
     PLANE,
+    BasisMismatchError,
+    CurveSystem,
+    EllResult,
     GaloisAction,
     InvalidActionError,
     ParameterError,
@@ -182,6 +186,87 @@ def test_ell_monotone_under_coarsening():
         one = _random_plane_action(rng, 6, 1)
         two = GaloisAction(12, one.generators + _random_plane_action(rng, 6, 1).generators)
         assert compute_ell(system, two).ell <= compute_ell(system, one).ell <= trivial_ell
+
+
+def _double_sum(gram, v, w):
+    return sum(v[a] * gram[a][b] * w[b] for a in range(len(v)) for b in range(len(w)))
+
+
+def test_pair_gram_is_the_double_sum():
+    rng = random.Random(11)
+    models = [build_model(3, n) for n in (2, 5, 7, 8)]
+    models += [build_model(m, m + 4, PLANE) for m in (2, 5)]
+    for model in models:
+        census = family_classes(minus_one_census(model))
+        curves = rng.sample(census, min(len(census), 40))
+        system = build_curve_system(model, curves)
+        gram, q = model.gram, model.distinguished["Q"].coeffs
+        assert system.pair_gram == tuple(
+            tuple(_double_sum(gram, a.coeffs, b.coeffs) for b in curves) for a in curves
+        ), model.basis_tag
+        assert system.q_incidence == tuple(_double_sum(gram, c.coeffs, q) for c in curves)
+
+
+def test_pair_gram_refuses_a_foreign_curve():
+    plane, hirzebruch = build_model(2, 6, PLANE), build_model(2, 6)
+    curves = (plane.distinguished["E_1"], hirzebruch.distinguished["E_1"])
+    with pytest.raises(BasisMismatchError):
+        CurveSystem(plane, curves).pair_gram
+    with pytest.raises(BasisMismatchError):
+        CurveSystem(plane, curves).q_incidence
+
+
+def _reference_ell(system, action):
+    """compute_ell's search order, prune test and tie rule on plain lists:
+    orbit conflicts by any() over the cross pairs, the bound summed afresh."""
+    gram, qinc = system.pair_gram, system.q_incidence
+    admissible = [o for o in orbit_partition(action)
+                  if all(qinc[i] >= 1 for i in o)
+                  and all(gram[i][j] == 0 for i, j in combinations(o, 2))]
+    cands = sorted(admissible, key=lambda o: (-len(o), o))
+    compat = [[not any(gram[i][j] for i in a for j in b) for b in cands] for a in cands]
+    best = [0, ()]
+
+    def walk(avail, weight, chosen):
+        if weight > best[0]:
+            best[:] = [weight, chosen]
+        remaining = sum(len(cands[i]) for i in avail)
+        for pos, i in enumerate(avail):
+            if weight + remaining <= best[0]:
+                return
+            walk([j for j in avail[pos + 1:] if compat[i][j]], weight + len(cands[i]),
+                 chosen + (i,))
+            remaining -= len(cands[i])
+
+    walk(list(range(len(cands))), 0, ())
+    picked = tuple(cands[i] for i in sorted(best[1], key=lambda i: cands[i]))
+    return EllResult(best[0], tuple(sorted(i for o in picked for i in o)), picked)
+
+
+def _point_action(system, rng):
+    """Generators permuting some of the blown-up points E_1..E_n."""
+    index = {c.coeffs: k for k, c in enumerate(system.curves)}
+    n = system.model.n
+    gens = []
+    for _ in range(rng.randint(1, 2)):
+        moved = rng.sample(range(2, n + 2), rng.randint(2, n))
+        target = dict(zip(moved, rng.sample(moved, len(moved))))
+        gens.append(tuple(
+            index[tuple(c.coeffs[target.get(i, i)] for i in range(len(c.coeffs)))] + 1
+            for c in system.curves
+        ))
+    return GaloisAction(len(system), tuple(gens))
+
+
+def test_compute_ell_matches_the_reference_search():
+    rng = random.Random(2024)
+    for m, count in ((2, 57), (3, 241)):
+        system = standard_curve_system(build_model(m, m + 5))
+        assert len(system) == count
+        for _ in range(8):
+            action = _point_action(system, rng)
+            assert validate_action(system, action).ok
+            assert compute_ell(system, action) == _reference_ell(system, action)
 
 
 def test_q_point_forced():
