@@ -51,23 +51,31 @@ from .lattice import (
 )
 from .riemann_roch import anti_plurigenus_table, embedding_descriptor
 from .sections import (
+    UnivariatePoly,
     binary_form,
     ci_split_polynomial,
     factor_over_rationals,
     line_census,
     poly_text,
+    primitive_integer_form,
 )
 from .verdicts import classify
 from .verification import run_all
 
 # input caps: the window grows with --bound, a census with m where n >= m+4,
 # the closed forms and lattice invariants with m, the ell search with the
-# curve count, and the rr table with --max-j
+# curve count, the rr table with --max-j, and the sections factorization
+# with the coefficients of its primitive integer polynomials
 MAX_BOUND = 5
 MAX_CENSUS_M = 12
 MAX_M = 100
 MAX_CURVES = 600
 MAX_J = 1000
+# the divisor searches behind factor_over_rationals grow with the number of
+# divisors of the coefficients and of the values at +-1 and +-2; the slowest
+# quartic found at this cap, with lead and constant of 240 divisors each,
+# takes about 0.7 s (a prime c in x^4 + c y^4 takes milliseconds)
+MAX_SECTIONS_COEFF = 10**6
 # "auto" curves at n = m+5 are the window census, which grows with m: 529
 # curves at m = 6 and 871 at m = 7, so from m = 7 on it exceeds MAX_CURVES
 MAX_AUTO_WINDOW_M = 6
@@ -105,6 +113,19 @@ def _check_m(m: int, n: int | None = None) -> None:
         raise ParameterError(f"m must be <= {MAX_M}, got {m}")
     if n is not None and n >= m + 4 and m > MAX_CENSUS_M:
         raise ParameterError(f"curves with n >= m+4 needs m <= {MAX_CENSUS_M}, got m = {m}")
+
+
+def _check_coefficients(*polys: UnivariatePoly) -> None:
+    """Refuse a polynomial whose primitive integer form exceeds MAX_SECTIONS_COEFF."""
+    for p in polys:
+        if p.is_zero:
+            continue
+        top = max(abs(c) for c in primitive_integer_form(p)[0].coeffs)
+        if top > MAX_SECTIONS_COEFF:
+            raise ParameterError(
+                f"sections takes primitive integer coefficients of at most {MAX_SECTIONS_COEFF} "
+                f"in absolute value, got {top}"
+            )
 
 
 def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
@@ -393,6 +414,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 def _cmd_sections_ci(args: argparse.Namespace) -> int:
     h = binary_form(_parse_coeffs(args.h))
     p = ci_split_polynomial(h)
+    _check_coefficients(p)
     decomposition = factor_over_rationals(p)
     # the linear factors carry every rational root, with its multiplicity
     root_items = sorted((-f.coeffs[0] / f.coeffs[1], mult)
@@ -443,7 +465,9 @@ def _cmd_sections_ci(args: argparse.Namespace) -> int:
 
 
 def _cmd_sections_lines(args: argparse.Namespace) -> int:
-    census = line_census(binary_form(_parse_coeffs(args.a)), binary_form(_parse_coeffs(args.b)))
+    a_form, b_form = binary_form(_parse_coeffs(args.a)), binary_form(_parse_coeffs(args.b))
+    _check_coefficients(a_form.dehomogenized(), b_form.dehomogenized())
+    census = line_census(a_form, b_form)
     if args.json:
         _emit({
             "total": census.total_lines,
@@ -568,13 +592,17 @@ def _build_parser() -> argparse.ArgumentParser:
     ci = secsub.add_parser("ci", help="splitting polynomial of the symmetric model")
     ci.add_argument("--h", required=True, metavar="COEFFS",
                     help="binary form coefficients, highest x power first; "
-                    "write --h=-1,... when the first is negative")
+                    "write --h=-1,... when the first is negative; p(a) in primitive "
+                    f"integer form may have coefficients up to {MAX_SECTIONS_COEFF} "
+                    "in absolute value")
     ci.add_argument("--json", action="store_true")
     ci.set_defaults(handler=_cmd_sections_ci)
     lines = secsub.add_parser("lines", help="census of lines on w^2 = A + B z^2")
     lines.add_argument("--a", required=True, metavar="COEFFS",
                        help="the form A, highest x power first; "
-                       "write --a=-1,... when the first is negative")
+                       "write --a=-1,... when the first is negative; A and B in primitive "
+                       f"integer form may have coefficients up to {MAX_SECTIONS_COEFF} "
+                       "in absolute value")
     lines.add_argument("--b", required=True, metavar="COEFFS",
                        help="the form B, highest x power first; "
                        "write --b=-1,... when the first is negative")

@@ -11,8 +11,9 @@ w = +/- sqrt(c) x^2), plus the section x = 0 when A(0,1) = 0 or B(0,1) = 0.
 
 Everything is Fraction arithmetic; no floating point anywhere.  Irrational
 split values are reported through the irreducible factor they satisfy, using
-a naive factorization (rational roots plus a bounded search for quadratic
-factors).  That method certifies irreducibility up to degree 4; any
+a naive factorization: rational roots, then a search for quadratic factors
+among the candidates whose values at t = 1 and t = -1 divide those of the
+polynomial.  That method certifies irreducibility up to degree 4; any
 higher-degree part it cannot split is reported as unresolved rather than
 claimed irreducible.
 """
@@ -184,6 +185,14 @@ def _divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def _signed_divisors(n: int) -> list[int]:
+    return [s * d for d in _divisors(n) for s in (1, -1)]
+
+
+def _divides(d: int, n: int) -> bool:
+    return d != 0 and n % d == 0
+
+
 def _divide_out(q: UnivariatePoly, f: UnivariatePoly) -> tuple[UnivariatePoly, int]:
     """Divide f out of q while the division is exact: (quotient, multiplicity)."""
     mult = 0
@@ -215,8 +224,9 @@ def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
         return roots
     const = int(q.coeffs[0])
     lead = int(q.coeffs[-1])
+    dens = _divisors(lead)
     for num in _divisors(const):
-        for den in _divisors(lead):
+        for den in dens:
             if gcd(num, den) != 1:
                 continue
             for cand in (Fraction(num, den), Fraction(-num, den)):
@@ -248,21 +258,36 @@ class Factorization:
 def _quadratic_factors(q: UnivariatePoly) -> tuple[list[tuple[UnivariatePoly, int]], UnivariatePoly]:
     """Divide out every rational quadratic factor of a primitive integer q.
 
-    q must have no rational roots.  The search is exhaustive: a rational
-    quadratic factor of a primitive polynomial can be taken integral and
-    primitive, its leading and constant coefficients divide those of q, and
-    its middle coefficient is bounded through the root bound of q.
+    q must have no rational roots.  The search is exhaustive.  A rational
+    quadratic factor of q can be taken primitive, g = l t^2 + b t + c with
+    l > 0, and by Gauss's lemma its cofactor then has integer coefficients.
+    So l divides the leading coefficient of q, c divides its constant term,
+    and g(k) divides q(k) at every integer k, where q(k) is nonzero because
+    q has no rational roots.  At k = 1 and k = -1 this gives
+    g(1) = l + b + c = d1 and g(-1) = l - b + c = d2 for divisors d1 of q(1)
+    and d2 of q(-1), so b = (d1 - d2) / 2 wherever d1 + d2 = 2 (l + c).  A
+    candidate must also pass g(2) | q(2) and g(-2) | q(-2); one with
+    g(k) = 0 has the root k, cannot divide q, and is skipped.  Exact
+    division confirms each factor found.
     """
     found: list[tuple[UnivariatePoly, int]] = []
     while q.degree >= 4:
-        bound = 1 + max(abs(c) for c in q.coeffs[:-1]) / abs(q.coeffs[-1])
+        at_two, at_minus_two = int(q(2)), int(q(-2))
+        # mids[l + c]: each b with g(1) = l + b + c dividing q(1), g(-1) = l - b + c dividing q(-1)
+        mids: dict[int, list[int]] = {}
+        d2s = _signed_divisors(int(q(-1)))
+        for d1 in _signed_divisors(int(q(1))):
+            for d2 in d2s:
+                if (d1 + d2) % 2 == 0:
+                    mids.setdefault((d1 + d2) // 2, []).append((d1 - d2) // 2)
+        consts = _signed_divisors(int(q.coeffs[0]))
         candidates = (
-            poly((signed_c, mid, l))
+            poly((c, b, l))
             for l in _divisors(int(q.coeffs[-1]))
-            for c in _divisors(int(q.coeffs[0]))
-            for signed_c in (c, -c)
-            for mid in range(-int(2 * l * bound) - 1, int(2 * l * bound) + 2)
-            if reduce(gcd, (l, abs(mid), abs(signed_c))) == 1
+            for c in consts
+            for b in mids.get(l + c, ())
+            if gcd(l, b, c) == 1
+            and _divides(4 * l + 2 * b + c, at_two) and _divides(4 * l - 2 * b + c, at_minus_two)
         )
         for cand in candidates:
             quo, mult = _divide_out(q, cand)

@@ -356,6 +356,22 @@ def test_sections_negative_leading_coefficient(capsys):
     assert code == 0 and json.loads(out)["total"] == 12
 
 
+def test_sections_caps(capsys):
+    # the cap reads the primitive integer polynomial: p(a) of x^4 + c y^4 has
+    # the coefficient 4c, and content or denominators are scaled away first
+    code, out, err = _capture(capsys, ["sections", "ci", "--h", "1,0,0,0,250001"])
+    assert code == 1 and out == ""
+    assert "coefficients of at most 1000000 in absolute value, got 1000004" in err
+    code, out, _ = _capture(capsys, ["sections", "ci", "--h", "1,0,0,0,250000", "--json"])
+    assert code == 0 and json.loads(out)["coefficients"] == [-4, 0, 1, 0, -1000000, 0, 250000]
+    for a, b in (("1,0,0,0,1000001", "1,0,1"), ("1/1000001,0,0,0,1", "1,0,1"),
+                 ("1,0,0,0,1", "-1000001,0,-1")):
+        code, out, err = _capture(capsys, ["sections", "lines", f"--a={a}", f"--b={b}"])
+        assert code == 1 and out == "" and "at most 1000000" in err and "got 1000001" in err
+    code, out, _ = _capture(capsys, ["sections", "lines", "--a", "2,0,0,0,2000000", "--b", "1,0,1"])
+    assert code == 0 and "1000000*t^4 + 1" in out
+
+
 def test_output_deterministic(capsys):
     argvs = [
         ["lattice", "--m", "3", "--n", "7", "--json"],

@@ -1,5 +1,6 @@
 """Exact polynomial analysis: splitting polynomials, roots, line censuses."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,63 @@ def test_factorization_unresolved():
     assert not result.complete
     assert poly_text(result.unresolved, "a") == "a^8 + 1"
     assert [(poly_text(f, "a"), k) for f, k in result.factors] == [("a - 2", 1), ("a + 2", 1)]
+
+
+def _random_factor(rng, degree, lead_and_negative_const):
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, -1, 2, 3, -5))]
+    if lead_and_negative_const:
+        coeffs[0], coeffs[-1] = rng.randint(-9, -1), rng.randint(2, 6)
+    return poly(coeffs)
+
+
+def _oracle_cases(count):
+    """Seeded products of integer polynomials of degree 1 to 4."""
+    rng = random.Random(20261018)
+    for index in range(count):
+        p = poly([rng.choice((1, -1, 3))])
+        for slot in range(rng.randint(1, 3)):
+            p = p * _random_factor(rng, rng.randint(1, 4), (index + slot) % 3 == 0)
+        if index % 4 == 0:
+            square = _random_factor(rng, 2, index % 8 == 0)
+            p = p * square * square
+        yield p
+
+
+def test_factorization_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+
+    def normalized(expr):
+        coeffs = [int(c) for c in reversed(sympy.Poly(expr, t).all_coeffs())]
+        sign = -1 if coeffs[-1] < 0 else 1
+        return tuple(sign * c for c in coeffs)
+
+    def sympy_factors(p):
+        expr = sum(int(c) * t**i for i, c in enumerate(p.coeffs))
+        _, factors = sympy.factor_list(expr, t)
+        return sorted(((normalized(f), k) for f, k in factors), key=lambda fk: (len(fk[0]), fk[0]))
+
+    complete = incomplete = 0
+    for p in _oracle_cases(240):
+        result = factor_over_rationals(p)
+        ours = [(tuple(int(c) for c in f.coeffs), k) for f, k in result.factors]
+        theirs = sympy_factors(p)
+        if result.complete:
+            complete += 1
+            assert ours == theirs, p
+        else:
+            incomplete += 1
+            assert [fk for fk in theirs if len(fk[0]) <= 3] == [fk for fk in ours if len(fk[0]) <= 3], p
+            assert min(len(f) for f, _ in sympy_factors(result.unresolved)) >= 4, p
+    assert complete > 100 and incomplete > 10
+
+
+def test_factorization_of_a_large_prime_coefficient():
+    # a scan over middle coefficients up to the root bound would try about
+    # 4 * 10^9 candidates here; the divisor search answers at once
+    census = line_census(binary_form([1, 0, 0, 0, 10**9 + 7]), binary_form([1, 0, 1]))
+    factors = [(e.source, e.factor, e.count) for e in census.split_values]
+    assert factors == [("A", "1000000007*t^4 + 1", 4), ("B", "t^2 + 1", 2)]
 
 
 def test_is_rational_square():
