@@ -65,7 +65,7 @@ from .verification import run_all
 # input caps: the window grows with --bound, a census with m where n >= m+4,
 # the closed forms and lattice invariants with m, the ell search with the
 # curve count, the rr table with --max-j, and the sections factorization
-# with the coefficients of its primitive integer polynomials
+# with the coefficients of its primitive integer polynomials and their degree
 MAX_BOUND = 5
 MAX_CENSUS_M = 12
 MAX_M = 100
@@ -76,6 +76,10 @@ MAX_J = 1000
 # quartic found at this cap, with lead and constant of 240 divisors each,
 # takes about 0.7 s (a prime c in x^4 + c y^4 takes milliseconds)
 MAX_SECTIONS_COEFF = 10**6
+# the rational-root candidates are evaluated at a cost linear in the degree;
+# the slowest h found at both caps, 244530, 1, ..., 1, 199520, 1, 299880 of
+# degree 16 (6,720 candidate pairs), takes about 1.1 s cold
+MAX_SECTIONS_DEGREE = 16
 # "auto" curves at n = m+5 are the window census, which grows with m: 529
 # curves at m = 6 and 871 at m = 7, so from m = 7 on it exceeds MAX_CURVES
 MAX_AUTO_WINDOW_M = 6
@@ -105,6 +109,24 @@ def _emit(payload: dict) -> None:
     chunks = json.JSONEncoder(indent=2).iterencode({"format": 1, **payload})
     sys.stdout.writelines(iter(lambda: "".join(islice(chunks, 4096)), ""))
     print()
+
+
+def _verdict_document(verdict) -> dict:
+    return {
+        "rational": str(verdict.rational),
+        "cylindrical": str(verdict.cylindrical),
+        "citations": list(verdict.citations),
+        "notes": list(verdict.notes),
+    }
+
+
+def _verdict_pairs(document: dict) -> list[tuple[str, str]]:
+    pairs = [
+        ("rational", document["rational"]),
+        ("cylindrical", document["cylindrical"]),
+        ("citations", " ".join(document["citations"]) or "-"),
+    ]
+    return pairs + [("note", note) for note in document["notes"]]
 
 
 def _check_m(m: int, n: int | None = None) -> None:
@@ -184,24 +206,18 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     _check_m(args.m, args.n)
     model = build_model(args.m, args.n, args.kind)
     certified = is_del_pezzo(model.m, model.n)
+    header = {"m": model.m, "n": model.n, "kind": model.kind, "certified": certified}
+    header_pairs = [
+        ("model", model.basis_tag),
+        ("certified", "yes" if certified else "no (window census)"),
+    ]
 
     if args.meeting_q:
         classes = curves_meeting_q(model, args.bound)
         if args.json:
-            _emit({
-                "m": model.m,
-                "n": model.n,
-                "kind": model.kind,
-                "certified": certified,
-                "count": len(classes),
-                "classes": [list(c.coeffs) for c in classes],
-            })
+            _emit({**header, "count": len(classes), "classes": [list(c.coeffs) for c in classes]})
             return 0
-        _print_kv([
-            ("model", model.basis_tag),
-            ("certified", "yes" if certified else "no (window census)"),
-            ("Q-meeting classes", str(len(classes))),
-        ])
+        _print_kv(header_pairs + [("Q-meeting classes", str(len(classes)))])
         for c in classes:
             print(f"  {c.coeffs}")
         return 0
@@ -210,10 +226,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     total = sum(len(fam) for fam in families)
     if args.json:
         _emit({
-            "m": model.m,
-            "n": model.n,
-            "kind": model.kind,
-            "certified": certified,
+            **header,
             "total": total,
             "families": [
                 {
@@ -226,11 +239,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
             ],
         })
         return 0
-    _print_kv([
-        ("model", model.basis_tag),
-        ("certified", "yes" if certified else "no (window census)"),
-        ("total", str(total)),
-    ])
+    _print_kv(header_pairs + [("total", str(total))])
     for fam in families:
         tag = f" d={fam.degree}" if fam.degree is not None else ""
         print(f"family {fam.label}{tag} ({len(fam)} classes)")
@@ -249,6 +258,7 @@ def _cmd_rr(args: argparse.Namespace) -> int:
 
     payload: dict = {"m": args.m}
     rows = ()
+    desc = None
     if args.max_j is not None:
         rows = anti_plurigenus_table(args.m, args.n, args.max_j)
         payload["n"] = args.n
@@ -280,8 +290,7 @@ def _cmd_rr(args: argparse.Namespace) -> int:
         widths = [max(len(row[i]) for row in cells) for i in range(4)]
         for row in cells:
             print("  ".join(f"{row[i]:>{widths[i]}}" for i in range(4)))
-    if args.embedding:
-        desc = embedding_descriptor(args.m)
+    if desc is not None:
         weights = ",".join(str(w) for w in desc.weights)
         if len(desc.degrees) == 1:
             print(f"embedding: hypersurface of degree {desc.degrees[0]} in P({weights})")
@@ -335,18 +344,12 @@ def _cmd_ell(args: argparse.Namespace) -> int:
     if "q_point" in doc:
         try:
             need_ell = model.n >= model.m + 4
-            verdict = classify(
+            verdict_payload = _verdict_document(classify(
                 model.m,
                 model.n,
                 ell=result.ell if need_ell else None,
                 q_point=doc["q_point"],
-            )
-            verdict_payload = {
-                "rational": str(verdict.rational),
-                "cylindrical": str(verdict.cylindrical),
-                "citations": list(verdict.citations),
-                "notes": list(verdict.notes),
-            }
+            ))
         except ToolkitError as exc:
             verdict_payload = {"error": str(exc)}
 
@@ -381,38 +384,26 @@ def _cmd_ell(args: argparse.Namespace) -> int:
         if "error" in verdict_payload:
             pairs.append(("verdict", f"unavailable: {verdict_payload['error']}"))
         else:
-            pairs.append(("rational", verdict_payload["rational"]))
-            pairs.append(("cylindrical", verdict_payload["cylindrical"]))
-            pairs.append(("citations", " ".join(verdict_payload["citations"])))
-            for note in verdict_payload["notes"]:
-                pairs.append(("note", note))
+            pairs += _verdict_pairs(verdict_payload)
     _print_kv(pairs)
     return 0
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    verdict = classify(args.m, args.n, ell=args.ell, q_point=args.q_point)
+    document = _verdict_document(classify(args.m, args.n, ell=args.ell, q_point=args.q_point))
     if args.json:
-        _emit({
-            "rational": str(verdict.rational),
-            "cylindrical": str(verdict.cylindrical),
-            "citations": list(verdict.citations),
-            "notes": list(verdict.notes),
-        })
+        _emit(document)
         return 0
-    pairs = [
-        ("rational", str(verdict.rational)),
-        ("cylindrical", str(verdict.cylindrical)),
-        ("citations", " ".join(verdict.citations) or "-"),
-    ]
-    for note in verdict.notes:
-        pairs.append(("note", note))
-    _print_kv(pairs)
+    _print_kv(_verdict_pairs(document))
     return 0
 
 
 def _cmd_sections_ci(args: argparse.Namespace) -> int:
     h = binary_form(_parse_coeffs(args.h))
+    if h.degree > MAX_SECTIONS_DEGREE:
+        raise ParameterError(
+            f"sections ci takes --h of degree at most {MAX_SECTIONS_DEGREE}, got {h.degree}"
+        )
     p = ci_split_polynomial(h)
     _check_coefficients(p)
     decomposition = factor_over_rationals(p)
@@ -592,9 +583,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ci = secsub.add_parser("ci", help="splitting polynomial of the symmetric model")
     ci.add_argument("--h", required=True, metavar="COEFFS",
                     help="binary form coefficients, highest x power first; "
-                    "write --h=-1,... when the first is negative; p(a) in primitive "
-                    f"integer form may have coefficients up to {MAX_SECTIONS_COEFF} "
-                    "in absolute value")
+                    "write --h=-1,... when the first is negative; degree at most "
+                    f"{MAX_SECTIONS_DEGREE}; p(a) in primitive integer form may have "
+                    f"coefficients up to {MAX_SECTIONS_COEFF} in absolute value")
     ci.add_argument("--json", action="store_true")
     ci.set_defaults(handler=_cmd_sections_ci)
     lines = secsub.add_parser("lines", help="census of lines on w^2 = A + B z^2")

@@ -15,7 +15,9 @@ a naive factorization: rational roots, then a search for quadratic factors
 among the candidates whose values at t = 1 and t = -1 divide those of the
 polynomial.  That method certifies irreducibility up to degree 4; any
 higher-degree part it cannot split is reported as unresolved rather than
-claimed irreducible.
+claimed irreducible.  `line_census` factors A(1, t) and B(1, t) once and reads
+squarefreeness and coprimality off those factorizations: a repeated factor,
+a factor shared by A and B, or x dividing the forms is refused.
 """
 
 from __future__ import annotations
@@ -61,12 +63,6 @@ class UnivariatePoly:
                 out[i + j] += a * b
         return poly(out)
 
-    def derivative(self) -> UnivariatePoly:
-        return poly(i * c for i, c in enumerate(self.coeffs) if i)
-
-    def scaled(self, factor: RationalLike) -> UnivariatePoly:
-        return poly(c * factor for c in self.coeffs)
-
 
 def poly(coeffs: Iterable[RationalLike]) -> UnivariatePoly:
     """Build a UnivariatePoly, coercing to Fraction and trimming zeros."""
@@ -90,15 +86,6 @@ def poly_divmod(num: UnivariatePoly, den: UnivariatePoly) -> tuple[UnivariatePol
         for i, c in enumerate(den.coeffs):
             rem[shift + i] -= factor * c
     return poly(quo), poly(rem)
-
-
-def poly_gcd(a: UnivariatePoly, b: UnivariatePoly) -> UnivariatePoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, poly_divmod(a, b)[1]
-    if a.is_zero:
-        return a
-    return a.scaled(1 / a.coeffs[-1])
 
 
 def primitive_integer_form(p: UnivariatePoly) -> tuple[UnivariatePoly, Fraction]:
@@ -203,16 +190,13 @@ def _divide_out(q: UnivariatePoly, f: UnivariatePoly) -> tuple[UnivariatePoly, i
         q, mult = quo, mult + 1
 
 
-def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
-    """All rational roots with multiplicities, found exactly.
+def _linear_factors(q: UnivariatePoly) -> tuple[dict[Fraction, int], UnivariatePoly]:
+    """Rational roots of a primitive integer q, and q with them divided out.
 
-    Candidates come from the rational-root theorem on the primitive integer
-    form; every candidate is verified by exact evaluation and multiplicities
-    are read off by repeated exact division.
+    Candidates come from the rational-root theorem; every candidate is
+    verified by exact evaluation and multiplicities are read off by repeated
+    exact division, whose final quotient is the returned cofactor.
     """
-    if p.is_zero:
-        raise ParameterError("the zero polynomial has every root")
-    q, _ = primitive_integer_form(p)
     roots: dict[Fraction, int] = {}
     low = 0
     while q.coeffs[low] == 0:
@@ -221,7 +205,7 @@ def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
         roots[Fraction(0)] = low
         q = poly(q.coeffs[low:])
     if q.degree < 1:
-        return roots
+        return roots, q
     const = int(q.coeffs[0])
     lead = int(q.coeffs[-1])
     dens = _divisors(lead)
@@ -233,7 +217,14 @@ def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
                 if q(cand) != 0:
                     continue
                 q, roots[cand] = _divide_out(q, poly((-cand.numerator, cand.denominator)))
-    return roots
+    return roots, q
+
+
+def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
+    """All rational roots with multiplicities, found exactly."""
+    if p.is_zero:
+        raise ParameterError("the zero polynomial has every root")
+    return _linear_factors(primitive_integer_form(p)[0])[0]
 
 
 @dataclass(frozen=True)
@@ -310,11 +301,8 @@ def factor_over_rationals(p: UnivariatePoly) -> Factorization:
     if p.is_zero:
         raise ParameterError("cannot factor the zero polynomial")
     q, unit = primitive_integer_form(p)
-    factors: list[tuple[UnivariatePoly, int]] = []
-    for root in sorted(rational_roots(q)) if q.degree >= 1 else []:
-        lin = poly((-root.numerator, root.denominator))
-        q, mult = _divide_out(q, lin)
-        factors.append((lin, mult))
+    roots, q = _linear_factors(q)
+    factors = [(poly((-root.numerator, root.denominator)), mult) for root, mult in roots.items()]
     quads, q = _quadratic_factors(q)
     factors.extend(quads)
     unresolved = None
@@ -377,24 +365,6 @@ class LineCensus:
     includes_infinity_section: bool
 
 
-def _form_squarefree(form: BinaryForm) -> bool:
-    if form.is_zero:
-        return False
-    deh = form.dehomogenized()
-    if form.degree - deh.degree >= 2:
-        return False
-    if deh.degree < 1:
-        return True
-    return poly_gcd(deh, deh.derivative()).degree == 0
-
-
-def _forms_coprime(a: BinaryForm, b: BinaryForm) -> bool:
-    da, db = a.dehomogenized(), b.dehomogenized()
-    if da.degree < a.degree and db.degree < b.degree:
-        return False
-    return poly_gcd(da, db).degree == 0
-
-
 def line_census(a_form: BinaryForm, b_form: BinaryForm) -> LineCensus:
     """Census of the lines on w^2 = A(x,y) + B(x,y) z^2.
 
@@ -410,18 +380,21 @@ def line_census(a_form: BinaryForm, b_form: BinaryForm) -> LineCensus:
         raise ParameterError(f"B must have degree 2, got {b_form.degree}")
     if a_form.is_zero or b_form.is_zero:
         raise ParameterError("A and B must be nonzero")
-    if not _form_squarefree(a_form):
-        raise ParameterError("A must be squarefree as a binary form")
-    if not _form_squarefree(b_form):
-        raise ParameterError("B must be squarefree as a binary form")
-    if not _forms_coprime(a_form, b_form):
+    a_poly, b_poly = a_form.dehomogenized(), b_form.dehomogenized()
+    # degrees <= 4, so both factorizations are complete; their factors are
+    # primitive with positive leading term, so a shared factor is an equal one
+    a_split, b_split = factor_over_rationals(a_poly), factor_over_rationals(b_poly)
+    for name, form, own, split in (("A", a_form, a_poly, a_split), ("B", b_form, b_poly, b_split)):
+        # x^2 divides the form exactly when F(1, t) lost two or more degrees
+        if form.degree - own.degree >= 2 or any(mult > 1 for _, mult in split.factors):
+            raise ParameterError(f"{name} must be squarefree as a binary form")
+    x_divides_both = a_poly.degree < a_form.degree and b_poly.degree < b_form.degree
+    if x_divides_both or {f for f, _ in a_split.factors} & {f for f, _ in b_split.factors}:
         raise ParameterError("A and B must be coprime as binary forms")
 
     entries: list[SplitValue] = []
-    pairs = (("A", a_form.dehomogenized(), b_form.dehomogenized()),
-             ("B", b_form.dehomogenized(), a_form.dehomogenized()))
-    for source, own, other in pairs:
-        decomposition = factor_over_rationals(own)
+    pairs = (("A", a_split, b_poly), ("B", b_split, a_poly))
+    for source, decomposition, other in pairs:
         rational_entries = []
         factor_entries = []
         for factor, _mult in decomposition.factors:

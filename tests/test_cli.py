@@ -370,6 +370,14 @@ def test_sections_caps(capsys):
         assert code == 1 and out == "" and "at most 1000000" in err and "got 1000001" in err
     code, out, _ = _capture(capsys, ["sections", "lines", "--a", "2,0,0,0,2000000", "--b", "1,0,1"])
     assert code == 0 and "1000000*t^4 + 1" in out
+    # the degree of --h is capped before any work, whatever its parity
+    for degree in (17, 18, 1000):
+        h = ",".join(["1"] + ["0"] * (degree - 1) + ["1"])
+        code, out, err = _capture(capsys, ["sections", "ci", "--h", h])
+        assert code == 1 and out == ""
+        assert f"--h of degree at most 16, got {degree}" in err
+    code, out, _ = _capture(capsys, ["sections", "ci", "--h", ",".join(["1"] + ["0"] * 15 + ["1"]), "--json"])
+    assert code == 0 and json.loads(out)["degree"] == 18
 
 
 def test_output_deterministic(capsys):

@@ -209,3 +209,80 @@ def test_line_census_validation():
     shared = binary_form([1, 0, 3, 0, 2])
     with pytest.raises(ParameterError):
         line_census(shared, binary_form([1, 0, 1]))
+
+
+def _form_product(*forms):
+    """Multiply binary forms given as coefficient lists, highest x power first."""
+    out = [1]
+    for form in forms:
+        prod = [0] * (len(out) + len(form) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(form):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
+def _census_refusal_cases(count):
+    """Seeded (A, B) coefficient pairs, deg A = 4 and deg B = 2, many of them degenerate."""
+    rng = random.Random(20261019)
+
+    def coeffs(n):
+        return [rng.randint(-3, 3) for _ in range(n)]
+
+    for index in range(count):
+        kind = index % 7
+        if kind == 0:
+            yield coeffs(5), coeffs(3)
+        elif kind == 1:  # x^2 divides A
+            yield _form_product(coeffs(3), [1, 0], [1, 0]), coeffs(3)
+        elif kind == 2:  # x divides both
+            yield _form_product(coeffs(4), [1, 0]), _form_product(coeffs(2), [1, 0])
+        elif kind == 3:  # a shared linear factor
+            shared = coeffs(2)
+            yield _form_product(shared, coeffs(4)), _form_product(shared, coeffs(2))
+        elif kind == 4:  # a shared quadratic factor
+            shared = coeffs(3)
+            yield _form_product(shared, coeffs(3)), _form_product(shared, [rng.choice((1, -2, 3))])
+        elif kind == 5:  # a repeated factor in B
+            root = coeffs(2)
+            yield coeffs(5), _form_product(root, root, [rng.choice((1, -1, 2))])
+        else:  # a repeated factor in A
+            root = coeffs(2)
+            yield _form_product(root, root, coeffs(3)), coeffs(3)
+
+
+def test_line_census_refusals_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+
+    def homogeneous(form):
+        degree = len(form) - 1
+        return sympy.Poly(sum(c * x ** (degree - i) * y**i for i, c in enumerate(form)), x, y)
+
+    def squarefree(p):
+        return all(k == 1 for _, k in sympy.sqf_list(p)[1])
+
+    def predicted(a, b):
+        pa, pb = homogeneous(a), homogeneous(b)
+        if pa.is_zero or pb.is_zero:
+            return "A and B must be nonzero"
+        if not squarefree(pa):
+            return "A must be squarefree as a binary form"
+        if not squarefree(pb):
+            return "B must be squarefree as a binary form"
+        if sympy.gcd(pa, pb).total_degree() > 0:
+            return "A and B must be coprime as binary forms"
+        return None
+
+    seen = {}
+    for a, b in _census_refusal_cases(700):
+        expected = predicted(a, b)
+        try:
+            census = line_census(binary_form(a), binary_form(b))
+        except ParameterError as exc:
+            assert str(exc) == expected, (a, b)
+        else:
+            assert expected is None and census.total_lines == 12, (a, b)
+        seen[expected] = seen.get(expected, 0) + 1
+    assert len(seen) == 5 and min(seen.values()) >= 10, seen
