@@ -78,7 +78,7 @@ MAX_J = 1000
 MAX_SECTIONS_COEFF = 10**6
 # the rational-root candidates are evaluated at a cost linear in the degree;
 # the slowest h found at both caps, 244530, 1, ..., 1, 199520, 1, 299880 of
-# degree 16 (6,720 candidate pairs), takes about 1.1 s cold
+# degree 16 (6,720 candidate pairs), takes about 0.3 s cold
 MAX_SECTIONS_DEGREE = 16
 # "auto" curves at n = m+5 are the window census, which grows with m: 529
 # curves at m = 6 and 871 at m = 7, so from m = 7 on it exceeds MAX_CURVES

@@ -19,6 +19,10 @@ graph with orbit sizes as weights.  `compute_ell` solves this exactly by
 branch and bound; `brute_force_ell` re-derives it by exhausting all unions of
 orbits and exists purely as a cross-check.
 
+ell never exceeds rank(Pic) - 1: pairwise disjoint (-1)-curves have Gram
+matrix -I, so they span a negative definite subspace, and Pic has signature
+(1, rank - 1) by the Hodge index theorem.  `compute_ell` stops there.
+
 Curve indices inside this module are 0-based positions into
 ``system.curves``; the command line presents them 1-based.
 """
@@ -219,8 +223,13 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
 
     Admissible orbits are sorted by decreasing size; the search includes or
     skips each in turn and prunes a branch as soon as the current weight plus
-    everything still available cannot beat the best found.  The first optimum
-    in this fixed order is returned, so results are deterministic.
+    everything still available, capped at rank - 1, cannot beat the best
+    found.  The cap holds because a witness's curves have Gram matrix -I and
+    so span a negative definite subspace of Pic, whose signature is
+    (1, rank - 1); it needs the (-1)-classes that `build_curve_system`
+    checks.  Once the best found reaches the cap, every frame returns.  The
+    first optimum in this fixed order is returned, so results are
+    deterministic.
     """
     _require_valid(system, action)
     orbits = orbit_partition(action)
@@ -240,6 +249,7 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
         by_size[size] = by_size.get(size, 0) | 1 << i
     groups = tuple(by_size.items())
 
+    cap = system.model.rank - 1
     best_weight = 0
     best_choice: tuple[int, ...] = ()
 
@@ -250,7 +260,7 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
             best_choice = chosen
         remaining = sum(size * (avail & mask).bit_count() for size, mask in groups)
         while avail:
-            if weight + remaining <= best_weight:
+            if min(weight + remaining, cap) <= best_weight:
                 return
             i = (avail & -avail).bit_length() - 1
             avail &= avail - 1

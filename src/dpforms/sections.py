@@ -9,7 +9,7 @@ splits into a line pair exactly when A(1, t) = 0 (residual c = B(1, t), pair
 w = +/- sqrt(c) xz) or B(1, t) = 0 (residual c = A(1, t), pair
 w = +/- sqrt(c) x^2), plus the section x = 0 when A(0,1) = 0 or B(0,1) = 0.
 
-Everything is Fraction arithmetic; no floating point anywhere.  Irrational
+Everything is exact arithmetic; no floating point anywhere.  Irrational
 split values are reported through the irreducible factor they satisfy, using
 a naive factorization: rational roots, then a search for quadratic factors
 among the candidates whose values at t = 1 and t = -1 divide those of the
@@ -193,9 +193,10 @@ def _divide_out(q: UnivariatePoly, f: UnivariatePoly) -> tuple[UnivariatePoly, i
 def _linear_factors(q: UnivariatePoly) -> tuple[dict[Fraction, int], UnivariatePoly]:
     """Rational roots of a primitive integer q, and q with them divided out.
 
-    Candidates come from the rational-root theorem; every candidate is
-    verified by exact evaluation and multiplicities are read off by repeated
-    exact division, whose final quotient is the returned cofactor.
+    Candidates come from the rational-root theorem; a candidate num/den is a
+    root exactly when den^d q(num/den), an integer, is zero.  Multiplicities
+    are read off by repeated exact division, whose final quotient is the
+    returned cofactor; it has integer coefficients by Gauss's lemma.
     """
     roots: dict[Fraction, int] = {}
     low = 0
@@ -206,17 +207,22 @@ def _linear_factors(q: UnivariatePoly) -> tuple[dict[Fraction, int], UnivariateP
         q = poly(q.coeffs[low:])
     if q.degree < 1:
         return roots, q
-    const = int(q.coeffs[0])
-    lead = int(q.coeffs[-1])
-    dens = _divisors(lead)
-    for num in _divisors(const):
+    ints = [int(c) for c in q.coeffs]
+    dens = _divisors(ints[-1])
+    for num in _divisors(ints[0]):
         for den in dens:
             if gcd(num, den) != 1:
                 continue
-            for cand in (Fraction(num, den), Fraction(-num, den)):
-                if q(cand) != 0:
+            for top in (num, -num):
+                # den^d q(top/den) by Horner's rule, top coefficient first
+                acc, scale = 0, 1
+                for c in reversed(ints):
+                    acc = acc * top + c * scale
+                    scale *= den
+                if acc:
                     continue
-                q, roots[cand] = _divide_out(q, poly((-cand.numerator, cand.denominator)))
+                q, roots[Fraction(top, den)] = _divide_out(q, poly((-top, den)))
+                ints = [int(c) for c in q.coeffs]
     return roots, q
 
 

@@ -24,6 +24,7 @@ from dpforms import (
     minus_one_census,
     orbit_partition,
     q_point_forced,
+    signature_of,
     standard_curve_system,
     validate_action,
 )
@@ -274,3 +275,73 @@ def test_q_point_forced():
     assert q_point_forced(5)
     assert not q_point_forced(2)
     assert not q_point_forced(6)
+
+
+def _realizable_plane_action(rng, half):
+    """One generator: permute the pair slots and flip an even number of them,
+    so that an integral isometry fixing K and Q induces it."""
+    sigma = rng.sample(range(half), half)
+    flips = [rng.random() < 0.5 for _ in range(half)]
+    flips[0] ^= sum(flips) % 2 == 1
+    image = [0] * (2 * half)
+    for i, (s, flip) in enumerate(zip(sigma, flips)):
+        image[i], image[i + half] = (s + half, s) if flip else (s, s + half)
+    return GaloisAction(2 * half, (tuple(i + 1 for i in image),))
+
+
+def test_compute_ell_matches_the_reference_where_the_cap_binds():
+    # ell reaches rank - 1 on the (4,9) window, so the cap ends the search
+    system = standard_curve_system(build_model(4, 9))
+    assert len(system) == 172
+    action = GaloisAction.trivial(172)
+    result = compute_ell(system, action)
+    assert result.ell == system.model.rank - 1 == 10
+    assert result == _reference_ell(system, action)
+
+
+def test_compute_ell_matches_the_reference_where_the_cap_does_not_bind():
+    # plane (m, m+4): ell <= m+4 < rank - 1 = m+5, so the full search runs
+    for m in range(2, 6):
+        system = _plane_system(m)
+        half = m + 4
+        flipped = half - half % 2  # the README swap, on an even number of pairs
+        swap = tuple(i + half + 1 if i < flipped else i + 1 for i in range(half))
+        swap += tuple(i + 1 if i < flipped else i + half + 1 for i in range(half))
+        for action in (GaloisAction.trivial(2 * half), GaloisAction(2 * half, (swap,))):
+            result = compute_ell(system, action)
+            assert result.ell < system.model.rank - 1, m
+            assert result == _reference_ell(system, action), m
+
+
+def test_compute_ell_matches_brute_force_on_small_plane_systems():
+    # every plane system with at most BRUTE_FORCE_LIMIT curves; the oracle
+    # exhausts 2^orbits unions, so the trivial action runs up to 16 curves and
+    # the random actions keep at most 14 orbits
+    rng = random.Random(31)
+    for m in range(2, 9):
+        system = _plane_system(m)
+        assert len(system) <= 24
+        actions = [GaloisAction.trivial(len(system))] if len(system) <= 16 else []
+        while len(actions) < 5:
+            action = _realizable_plane_action(rng, m + 4)
+            if len(orbit_partition(action)) <= 14:
+                actions.append(action)
+        for action in actions:
+            assert compute_ell(system, action) == brute_force_ell(system, action), m
+
+
+def test_six_eleven_window_reaches_the_cap():
+    system = standard_curve_system(build_model(6, 11))
+    assert len(system) == 529
+    result = compute_ell(system, GaloisAction.trivial(529))
+    assert result.ell == system.model.rank - 1 == 12
+    assert result.witness == tuple(range(11)) + (66,)
+
+
+def test_picard_lattice_is_hyperbolic():
+    # the cap in compute_ell rests on signature (1, rank - 1)
+    for m in range(2, 13):
+        models = [build_model(m, n) for n in range(1, m + 6)]
+        models.append(build_model(m, m + 4, PLANE))
+        for model in models:
+            assert signature_of(model.gram) == (1, model.rank - 1), model.basis_tag

@@ -153,6 +153,36 @@ def test_factorization_of_a_large_prime_coefficient():
     assert factors == [("A", "1000000007*t^4 + 1", 4), ("B", "t^2 + 1", 2)]
 
 
+def _planted_root_cases(count):
+    """Seeded products of up to five factors (a t - b), a up to 12 and b of
+    either sign, some repeated, times a random integer cofactor.  The
+    divisor search takes O(sqrt) steps in the lead and the constant term, so
+    the factors stay small."""
+    rng = random.Random(4099)
+    for _ in range(count):
+        p = poly([rng.choice((1, -1, 2, 6))])
+        linear = poly([1])
+        for _ in range(5):
+            if rng.random() < 0.7:
+                linear = poly([-rng.randint(-12, 12), rng.randint(1, 12)])
+            p = p * linear
+        cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 9)]
+        yield p * poly(cofactor)
+
+
+def test_rational_roots_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    t = sympy.symbols("t")
+    for p in _planted_root_cases(150):
+        expr = sum(int(c) * t**i for i, c in enumerate(p.coeffs))
+        theirs = {}
+        for f, k in sympy.factor_list(expr, t)[1]:
+            coeffs = sympy.Poly(f, t).all_coeffs()
+            if len(coeffs) == 2:
+                theirs[Fraction(-int(coeffs[1]), int(coeffs[0]))] = k
+        assert rational_roots(p) == theirs, p
+
+
 def test_is_rational_square():
     assert is_rational_square(Fraction(4))
     assert is_rational_square(Fraction(9, 4))
