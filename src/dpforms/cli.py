@@ -22,8 +22,6 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-import jsonschema
-
 from .curves import curves_meeting_q, minus_one_census
 from .errors import (
     InputFormatError,
@@ -47,7 +45,6 @@ from .lattice import (
     is_unimodular,
     k_squared_singular,
     lattice_signature,
-    load_schema,
 )
 from .riemann_roch import anti_plurigenus_table, embedding_descriptor
 from .sections import (
@@ -300,18 +297,51 @@ def _cmd_rr(args: argparse.Namespace) -> int:
     return 0
 
 
+_INSTANCE_KEYS = {"format", "model", "curves", "galois", "q_point"}
+
+
+def _int_rows(value) -> bool:
+    # a JSON integer only: bool is an int subclass, and 1.0 == 1
+    return type(value) is list and all(
+        type(row) is list and all(type(x) is int for x in row) for row in value
+    )
+
+
+def _shape_fault(doc) -> str | None:
+    """The first shape rule an instance document breaks, or None.  Ranges
+    (m, n, kind, image entries, empty lists) are left to the model, curve
+    system and action checks, which name their bounds."""
+    if type(doc) is not dict or not {"model", "galois"} <= doc.keys() <= _INSTANCE_KEYS:
+        return ("the document must be an object with the keys model and galois, "
+                "and optionally format, curves and q_point")
+    if "format" in doc and not (type(doc["format"]) is int and doc["format"] == 1):
+        return f"format must be the integer 1, got {doc['format']!r}"
+    model = doc["model"]
+    if type(model) is not dict or model.keys() != {"m", "n", "kind"}:
+        return "model must be an object with exactly the keys m, n and kind"
+    for key in ("m", "n"):
+        if type(model[key]) is not int:
+            return f"model {key} must be an integer, got {model[key]!r}"
+    if doc.get("curves", "auto") != "auto" and not _int_rows(doc["curves"]):
+        return 'curves must be "auto" or a list of lists of integers'
+    if not _int_rows(doc["galois"]):
+        return "galois must be a list of lists of integers"
+    if doc.get("q_point", "unknown") not in ("yes", "no", "unknown"):
+        return f'q_point must be "yes", "no" or "unknown", got {doc["q_point"]!r}'
+    return None
+
+
 def _load_instance(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ParameterError(f"cannot read instance file {path!r}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, overlong or deep values
         raise InputFormatError(f"instance file {path!r} is not valid JSON: {exc}") from None
-    try:
-        jsonschema.validate(doc, load_schema("instance.schema.json"))
-    except jsonschema.ValidationError as exc:
-        raise InputFormatError(f"instance file {path!r} rejected: {exc.message}") from None
+    fault = _shape_fault(doc)
+    if fault is not None:
+        raise InputFormatError(f"instance file {path!r} rejected: {fault}")
     return doc
 
 

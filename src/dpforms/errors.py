@@ -45,7 +45,7 @@ class InfeasibleEllError(ToolkitError, ValueError):
 
 
 class InputFormatError(ToolkitError, ValueError):
-    """A JSON document failed schema validation or semantic checks."""
+    """An instance file is not valid JSON or breaks a shape rule of the format."""
 
 
 class InternalInvariantError(ToolkitError, RuntimeError):

@@ -29,7 +29,7 @@ Curve indices inside this module are 0-based positions into
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
 from operator import mul, or_
@@ -43,18 +43,41 @@ BRUTE_FORCE_LIMIT = 24
 
 @dataclass(frozen=True)
 class CurveSystem:
-    """An indexed family of (-1)-classes with cached intersection data."""
+    """An indexed family of (-1)-classes with cached intersection data.
+
+    Construction refuses an empty family, a member that is not a (-1)-class
+    (self-intersection -1, anticanonical degree 1), a duplicate and negative
+    Q-incidence, each read off the member's dual row."""
 
     model: SurfaceModel
     curves: tuple[DivisorClass, ...]
+    _duals: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.curves:
+            raise ParameterError("curve system must contain at least one curve")
+        mk = self.model.anticanonical.coeffs
+        duals = []
+        seen: set[tuple[int, ...]] = set()
+        for i, c in enumerate(self.curves):
+            d = self.model.dual(c)
+            square = sum(map(mul, d, c.coeffs))
+            if square != -1:
+                raise ParameterError(f"curve {i + 1} has self-intersection {square}, expected -1")
+            degree = sum(map(mul, d, mk))
+            if degree != 1:
+                raise ParameterError(f"curve {i + 1} has anticanonical degree {degree}, expected 1")
+            if c.coeffs in seen:
+                raise ParameterError(f"curve {i + 1} duplicates an earlier curve")
+            seen.add(c.coeffs)
+            duals.append(d)
+        object.__setattr__(self, "_duals", tuple(duals))
+        for i, q in enumerate(self.q_incidence):
+            if q < 0:
+                raise ParameterError(f"curve {i + 1} has negative Q-incidence {q}")
 
     def __len__(self) -> int:
         return len(self.curves)
-
-    @cached_property
-    def _duals(self) -> tuple[tuple[int, ...], ...]:
-        # lowering a curve to its dual row checks its basis, once per curve
-        return tuple(map(self.model.dual, self.curves))
 
     @cached_property
     def pair_gram(self) -> tuple[tuple[int, ...], ...]:
@@ -68,30 +91,8 @@ class CurveSystem:
 
 
 def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> CurveSystem:
-    """Validate and assemble a curve system.
-
-    Every member must be a (-1)-class: self-intersection -1 and
-    anticanonical degree 1.  Duplicates and negative Q-incidence are
-    rejected; the latter cannot occur for genuine (-1)-classes but the
-    check keeps bad hand-written input from slipping through.
-    """
-    if not curves:
-        raise ParameterError("curve system must contain at least one curve")
-    seen: set[tuple[int, ...]] = set()
-    mk = model.anticanonical
-    for i, c in enumerate(curves):
-        if model.intersect(c, c) != -1:
-            raise ParameterError(f"curve {i + 1} has self-intersection {model.intersect(c, c)}, expected -1")
-        if model.intersect(c, mk) != 1:
-            raise ParameterError(f"curve {i + 1} has anticanonical degree {model.intersect(c, mk)}, expected 1")
-        if c.coeffs in seen:
-            raise ParameterError(f"curve {i + 1} duplicates an earlier curve")
-        seen.add(c.coeffs)
-    system = CurveSystem(model=model, curves=tuple(curves))
-    for i, q in enumerate(system.q_incidence):
-        if q < 0:
-            raise ParameterError(f"curve {i + 1} has negative Q-incidence {q}")
-    return system
+    """Assemble a curve system; `CurveSystem` checks its members."""
+    return CurveSystem(model=model, curves=tuple(curves))
 
 
 def standard_curve_system(model: SurfaceModel) -> CurveSystem:
@@ -226,9 +227,9 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     everything still available, capped at rank - 1, cannot beat the best
     found.  The cap holds because a witness's curves have Gram matrix -I and
     so span a negative definite subspace of Pic, whose signature is
-    (1, rank - 1); it needs the (-1)-classes that `build_curve_system`
-    checks.  Once the best found reaches the cap, every frame returns.  The
-    first optimum in this fixed order is returned, so results are
+    (1, rank - 1); it needs the (-1)-classes that `CurveSystem` checks on
+    construction.  Once the best found reaches the cap, every frame returns.
+    The first optimum in this fixed order is returned, so results are
     deterministic.
     """
     _require_valid(system, action)

@@ -22,15 +22,13 @@ invariants, no floating point anywhere in this module.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from importlib import resources
 from math import prod
 from operator import mul
 
-from .errors import BasisMismatchError, InputFormatError, ParameterError
+from .errors import BasisMismatchError, ParameterError
 
 HIRZEBRUCH = "hirzebruch"
 PLANE = "plane"
@@ -300,36 +298,3 @@ def gram_determinant(model: SurfaceModel) -> int:
 def is_unimodular(model: SurfaceModel) -> bool:
     return abs(gram_determinant(model)) == 1
 
-
-# --- JSON serialization -----------------------------------------------------
-
-def load_schema(name: str) -> dict:
-    """Load one of the JSON schemas shipped under dpforms/schemas/."""
-    text = resources.files("dpforms").joinpath(f"schemas/{name}").read_text()
-    return json.loads(text)
-
-
-def classes_to_document(model: SurfaceModel, classes, names=None) -> dict:
-    doc = {
-        "format": 1,
-        "m": model.m,
-        "n": model.n,
-        "kind": model.kind,
-        "classes": [list(c.coeffs) for c in classes],
-    }
-    if names is not None:
-        doc["names"] = list(names)
-    return doc
-
-
-def document_to_classes(doc: dict) -> tuple[SurfaceModel, list[DivisorClass]]:
-    """Parse and validate a serialized model document (schemas/model.schema.json)."""
-    import jsonschema
-
-    try:
-        jsonschema.validate(doc, load_schema("model.schema.json"))
-    except jsonschema.ValidationError as exc:
-        raise InputFormatError(f"model document invalid: {exc.message}") from exc
-    model = build_model(doc["m"], doc["n"], doc["kind"])
-    classes = [model.divisor(row) for row in doc["classes"]]
-    return model, classes

@@ -363,14 +363,17 @@ def _witness_ok(system: CurveSystem, action: GaloisAction, res: EllResult) -> bo
 
 def _random_plane_action(rng: random.Random, half: int, generator_count: int) -> GaloisAction:
     """A random symmetry of the plane-basis pairing: permute the m+4 pair slots
-    and optionally swap E_i with E_i' inside each slot."""
+    and swap E_i with E_i' inside an even number of them, since a lattice
+    isometry fixing K and Q flips an even number of pairs (the last draw is
+    toggled when the count comes out odd)."""
     gens = []
     for _ in range(generator_count):
         sigma = list(range(half))
         rng.shuffle(sigma)
+        flips = [rng.random() < 0.5 for _ in range(half)]
+        flips[-1] ^= sum(flips) % 2 == 1
         image = [0] * (2 * half)
-        for i in range(half):
-            flip = rng.random() < 0.5
+        for i, flip in enumerate(flips):
             image[i] = (sigma[i] + half if flip else sigma[i]) + 1
             image[i + half] = (sigma[i] if flip else sigma[i] + half) + 1
         gens.append(tuple(image))

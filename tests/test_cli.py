@@ -317,6 +317,78 @@ def test_ell_instance_rejections(tmp_path, capsys):
     garbled.write_text("{not json")
     code, _, err = _capture(capsys, ["ell", "--instance", str(garbled)])
     assert code == 1
+    # the decoder's own refusals: bad UTF-8, an integer past Python's digit
+    # limit, and nesting past the recursion limit
+    for raw in (b'{"model": {"m": 2, "n": 6, "kind": "pl\xe9ne"}, "galois": []}',
+                b'{"model": {"m": ' + b"9" * 5000 + b', "n": 6, "kind": "plane"}, "galois": []}',
+                b"[" * 100000 + b"]" * 100000):
+        garbled.write_bytes(raw)
+        code, out, err = _capture(capsys, ["ell", "--instance", str(garbled)])
+        assert code == 1 and out == "" and "is not valid JSON" in err
+
+
+SWAP = [7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6]
+PLANE_2_6 = {"m": 2, "n": 6, "kind": "plane"}
+
+
+def test_ell_instance_shape_rules(tmp_path, capsys):
+    # one malformed instance per shape rule: each is refused as "rejected"
+    # before any model is built, integral floats and booleans included
+    base = {"model": PLANE_2_6, "curves": "auto", "galois": [SWAP]}
+    broken = [
+        ["not", "an", "object"],
+        {**base, "extra": 1},
+        {"curves": "auto", "galois": []},
+        {"model": PLANE_2_6},
+        {**base, "format": True},
+        {**base, "format": 1.0},
+        {**base, "format": 2},
+        {**base, "model": [2, 6, "plane"]},
+        {**base, "model": {**PLANE_2_6, "basis": "plane"}},
+        {**base, "model": {"m": 2, "n": 6}},
+        {**base, "model": {**PLANE_2_6, "m": 2.0}},
+        {**base, "model": {**PLANE_2_6, "n": "6"}},
+        {**base, "model": {**PLANE_2_6, "m": True}},
+        {**base, "curves": "all"},
+        {**base, "curves": [1, 0, 0, 0, 0, 0, 0, 0]},
+        {**base, "curves": [[0, 1.0, 0, 0, 0, 0, 0, 0]]},
+        {**base, "galois": [[1.0, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]]},
+        {**base, "galois": [[True, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]]},
+        {**base, "galois": SWAP},
+        {**base, "galois": {}},
+        {**base, "q_point": "maybe"},
+        {**base, "q_point": True},
+    ]
+    for doc in broken:
+        for json_flag in ([], ["--json"]):
+            path = tmp_path / "broken.json"
+            path.write_text(json.dumps(doc))
+            code, out, err = _capture(capsys, ["ell", "--instance", str(path), *json_flag])
+            assert code == 1 and out == "", doc
+            assert "rejected" in err and "Traceback" not in err, doc
+    # ranges are left to the model, curve system and action checks
+    refused = [
+        ({**base, "model": {**PLANE_2_6, "m": 1}}, "m must be >= 2, got 1"),
+        ({**base, "model": {**PLANE_2_6, "kind": "spherical"}}, "unknown basis kind 'spherical'"),
+        ({**base, "curves": []}, "at least one curve"),
+        ({**base, "galois": [[0] + SWAP[1:]]}, "is not a permutation of 1..12"),
+    ]
+    for doc, message in refused:
+        code, out, err = _ell(tmp_path, capsys, doc)
+        assert code == 1 and out == "" and message in err, doc
+    code, out, _ = _ell(tmp_path, capsys, {**base, "format": 1, "q_point": "unknown"})
+    assert code == 0 and json.loads(out)["ell"] == 0
+
+
+def test_cli_imports_only_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import dpforms.cli; "
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}; "
+            "extra = sorted(new - set(sys.stdlib_module_names) - {'dpforms'}); "
+            "assert not extra, extra")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_sections_ci(capsys):
@@ -429,8 +501,8 @@ def test_python_m_runs_cli(capsys, module):
 
 
 def test_import_leaves_the_cli_unloaded():
-    code = ("import sys, dpforms; loaded = {'dpforms.cli', 'jsonschema'} & set(sys.modules); "
-            "assert not loaded, loaded; assert dpforms.run is sys.modules['dpforms.cli'].run")
+    code = ("import sys, dpforms; assert 'dpforms.cli' not in sys.modules; "
+            "assert dpforms.run is sys.modules['dpforms.cli'].run")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)

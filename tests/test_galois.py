@@ -62,6 +62,12 @@ def test_build_curve_system_rejects_bad_members():
         build_curve_system(model, [e1, e1])
     with pytest.raises(ParameterError):
         build_curve_system(model, [])
+    # a directly built system is checked too: the rank - 1 cap of compute_ell
+    # holds only for (-1)-classes, and twelve copies of F (F^2 = 0) would
+    # give the cap, 7, where the exhaustive oracle gives 12
+    hirzebruch = build_model(2, 6)
+    with pytest.raises(ParameterError, match="curve 1 has self-intersection 0, expected -1"):
+        CurveSystem(hirzebruch, (hirzebruch.distinguished["F"],) * 12)
 
 
 def test_action_validation():
@@ -177,6 +183,16 @@ def test_solvers_agree_randomized():
             fast = compute_ell(system, action)
             slow = brute_force_ell(system, action)
             assert fast.ell == slow.ell
+
+
+def test_random_plane_actions_flip_an_even_number_of_pairs():
+    # a lattice isometry fixing K and Q swaps E_i <-> E_i' in an even number of slots
+    for seed in range(40):
+        rng = random.Random(seed)
+        for half in (6, 7, 8):
+            for gen in _random_plane_action(rng, half, 3).generators:
+                flipped = sum((gen[i] - 1 >= half) for i in range(half))
+                assert flipped % 2 == 0, (seed, half, gen)
 
 
 def test_ell_monotone_under_coarsening():

@@ -1,4 +1,4 @@
-"""Lattice models: Gram data, invariants, arithmetic, serialization."""
+"""Lattice models: Gram data, invariants, arithmetic."""
 
 import random
 from fractions import Fraction
@@ -7,14 +7,10 @@ from types import SimpleNamespace
 import pytest
 
 from dpforms import (
-    HIRZEBRUCH,
     PLANE,
     BasisMismatchError,
-    InputFormatError,
     ParameterError,
     build_model,
-    classes_to_document,
-    document_to_classes,
     anti_plurigenus_table,
     classify,
     correction_residue,
@@ -25,7 +21,6 @@ from dpforms import (
     is_unimodular,
     k_squared_singular,
     lattice_signature,
-    load_schema,
     q_point_forced,
     signature_of,
 )
@@ -183,35 +178,6 @@ def test_parameter_validation():
         build_model(2, 6, "spherical")
     with pytest.raises(ParameterError):
         k_squared_singular(2, 9)
-
-
-def test_document_roundtrip():
-    model = build_model(3, 4)
-    classes = [model.anticanonical, model.basis_class(2)]
-    doc = classes_to_document(model, classes)
-    assert doc["format"] == 1
-    assert doc["kind"] == HIRZEBRUCH
-    back_model, back_classes = document_to_classes(doc)
-    assert back_model.basis_tag == model.basis_tag
-    assert [c.coeffs for c in back_classes] == [c.coeffs for c in classes]
-
-
-def test_document_validation():
-    model = build_model(3, 4)
-    doc = classes_to_document(model, [model.anticanonical])
-    doc["surprise"] = True
-    with pytest.raises(InputFormatError):
-        document_to_classes(doc)
-    bad_kind = classes_to_document(model, [])
-    bad_kind["kind"] = "spherical"
-    with pytest.raises(InputFormatError):
-        document_to_classes(bad_kind)
-
-
-def test_schema_files_load():
-    for name in ("model.schema.json", "instance.schema.json"):
-        schema = load_schema(name)
-        assert schema["$id"].endswith(name)
 
 
 def test_one_parameter_guard():
