@@ -160,16 +160,22 @@ def binary_form(coeffs: Iterable[RationalLike]) -> BinaryForm:
 
 
 def _divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending (none for n = 0), from trial
+    division that stops at the square root of the cofactor left: cheap for a
+    smooth n, but a prime or semiprime n still costs about sqrt(n) steps."""
     n = abs(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1] if n else []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            base = len(divs)
+            while n % p == 0:
+                n //= p
+                divs += [d * p for d in divs[-base:]]
+        p += 1 + p % 2  # 2, then the odd numbers
+    if n > 1:
+        divs += [d * n for d in divs]
+    return sorted(divs)
 
 
 def _signed_divisors(n: int) -> list[int]:

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from operator import mul
 
 import pytest
 
@@ -28,6 +29,7 @@ from dpforms import (
     standard_curve_system,
     validate_action,
 )
+from dpforms.galois import _products
 from dpforms.verification import _random_plane_action
 
 
@@ -222,6 +224,44 @@ def test_pair_gram_is_the_double_sum():
             tuple(_double_sum(gram, a.coeffs, b.coeffs) for b in curves) for a in curves
         ), model.basis_tag
         assert system.q_incidence == tuple(_double_sum(gram, c.coeffs, q) for c in curves)
+
+
+def _dot_table(lefts, rights):
+    return tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
+
+
+def test_products_are_the_dot_products():
+    # the largest |entry| lands on the top of a W-byte signed digit (W = 1,
+    # 2, 4, 8) or one past it, which takes the next width or the plain sums;
+    # a coordinate every left row zeroes may hold entries of any size
+    rng = random.Random(12)
+    for bits in (7, 15, 31, 63):
+        for bound in ((1 << bits) - 1, 1 << bits):
+            for _ in range(10):
+                rank = rng.randint(1, 6)
+                d = [rng.choice((-1, 1)) for _ in range(rank)] + [0]
+                cuts = sorted(rng.randint(0, bound) for _ in range(rank - 1))
+                tops = [b - a for a, b in zip([0] + cuts, cuts + [bound])]
+                edge = [x * t for x, t in zip(d, tops)] + [rng.randint(-1 << 70, 1 << 70)]
+                rights = [edge, [-x for x in edge]]
+                rights += [[rng.randint(-t, t) for t in tops] + [rng.randint(-1 << 70, 1 << 70)]
+                           for _ in range(rng.randint(0, 8))]
+                rng.shuffle(rights)
+                lefts = [d] + [[x * rng.choice((-1, 0, 1)) for x in d]
+                               for _ in range(rng.randint(0, 5))]
+                rng.shuffle(lefts)
+                table = _products(lefts, rights)
+                assert table == _dot_table(lefts, rights), (bits, bound)
+                assert max(abs(x) for row in table for x in row) == bound
+
+
+def test_pair_gram_on_the_window_systems():
+    for m, count in ((5, 308), (6, 529)):
+        model = build_model(m, m + 5)
+        system = standard_curve_system(model)
+        assert len(system) == count
+        duals = [model.dual(c) for c in system.curves]
+        assert system.pair_gram == _dot_table(duals, [c.coeffs for c in system.curves])
 
 
 def test_pair_gram_refuses_a_foreign_curve():

@@ -16,6 +16,7 @@ from dpforms import (
     poly_text,
     rational_roots,
 )
+from dpforms.sections import _divisors
 
 
 def test_poly_basics():
@@ -151,6 +152,22 @@ def test_factorization_of_a_large_prime_coefficient():
     census = line_census(binary_form([1, 0, 0, 0, 10**9 + 7]), binary_form([1, 0, 1]))
     factors = [(e.source, e.factor, e.count) for e in census.split_values]
     assert factors == [("A", "1000000007*t^4 + 1", 4), ("B", "t^2 + 1", 2)]
+
+
+def test_divisors_match_trial_division():
+    for n in range(-12, 2001):
+        assert _divisors(n) == [d for d in range(1, abs(n) + 1) if n % d == 0], n
+
+
+def test_divisors_of_smooth_constants_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(22)
+    primes = list(sympy.primerange(2, 1000))
+    for _ in range(20):
+        n = rng.choice((1, -1))
+        while abs(n) < 10**22:
+            n *= rng.choice(primes)
+        assert _divisors(n) == sympy.divisors(n), n
 
 
 def _planted_root_cases(count):
