@@ -6,9 +6,10 @@ descriptor), `ell` (invariant disjoint-curve count from an instance file),
 `classify` (rationality and cylindricity verdict), `sections` (splitting
 polynomial and line census), and `verify` (the full self-check battery).
 
-Every subcommand accepts --json for machine-readable output; the default
-is an aligned text table.  Output is deterministic: identical argv yields
-byte-identical output.
+Each subcommand's handler computes one answer document and prints nothing;
+`run` prints that document, as JSON under --json and otherwise through the
+subcommand's text renderer, an aligned table that reads only the document.
+Output is deterministic: identical argv yields byte-identical output.
 
 Exit codes: 0 on success, 1 on invalid input or infeasible parameters,
 2 on an internal invariant violation or a failed `verify` run.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from itertools import islice
@@ -77,6 +79,11 @@ MAX_SECTIONS_COEFF = 10**6
 # the slowest h found at both caps, 244530, 1, ..., 1, 199520, 1, 299880 of
 # degree 16 (6,720 candidate pairs), takes about 0.3 s cold
 MAX_SECTIONS_DEGREE = 16
+# a coefficient list is sized before Fraction() reads it, as its digits plus |K|
+# for each exponent eK: Fraction("1e10000000") takes seconds, and a primitive
+# integer form of about as many digits as the list stays printable by str()
+MAX_SECTIONS_DIGITS = 2000
+_EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
 # "auto" curves at n = m+5 are the window census, which grows with m: 529
 # curves at m = 6 and 871 at m = 7, so from m = 7 on it exceeds MAX_CURVES
 MAX_AUTO_WINDOW_M = 6
@@ -95,11 +102,6 @@ def _print_kv(pairs: list[tuple[str, str]]) -> None:
         print(f"{key:<{width}}  {value}")
 
 
-def _matrix_lines(rows) -> list[str]:
-    width = max(len(str(x)) for row in rows for x in row)
-    return ["  ".join(f"{x:>{width}}" for x in row) for row in rows]
-
-
 def _emit(payload: dict) -> None:
     # streamed in batches of encoder chunks: a large census is never one
     # string, and an unbuffered stdout (PYTHONUNBUFFERED) gets few writes
@@ -108,13 +110,8 @@ def _emit(payload: dict) -> None:
     print()
 
 
-def _verdict_document(verdict) -> dict:
-    return {
-        "rational": str(verdict.rational),
-        "cylindrical": str(verdict.cylindrical),
-        "citations": list(verdict.citations),
-        "notes": list(verdict.notes),
-    }
+def _model_tag(doc: dict) -> str:
+    return f"{doc['kind']}(m={doc['m']},n={doc['n']})"
 
 
 def _verdict_pairs(document: dict) -> list[tuple[str, str]]:
@@ -151,51 +148,59 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise ParameterError("empty coefficient list")
+    size = sum(map(str.isdigit, text))
+    if size <= MAX_SECTIONS_DIGITS:  # so each exponent has too few digits to trouble int()
+        size += sum(int(exp.replace("_", "")) for exp in _EXPONENT.findall(text))
+    if size > MAX_SECTIONS_DIGITS:
+        raise ParameterError(
+            f"sections takes coefficient lists of at most {MAX_SECTIONS_DIGITS} digits, "
+            f"counting |K| more for an exponent eK, got {size}"
+        )
     try:
         return tuple(Fraction(token) for token in tokens)
     except (ValueError, ZeroDivisionError):
         raise ParameterError(f"cannot parse coefficient list {text!r}") from None
 
 
-def _cmd_lattice(args: argparse.Namespace) -> int:
+def _cmd_lattice(args: argparse.Namespace) -> dict:
     _check_m(args.m)
     model = build_model(args.m, args.n, args.kind)
     mk = model.anticanonical
-    sig = lattice_signature(model)
-    if args.json:
-        _emit({
-            "m": model.m,
-            "n": model.n,
-            "kind": model.kind,
-            "rank": model.rank,
-            "basis": list(model.basis_names),
-            "gram": [list(row) for row in model.gram],
-            "anticanonical": list(mk.coeffs),
-            "anticanonical_square": model.intersect(mk, mk),
-            "k_squared_singular": str(k_squared_singular(model.m, model.n)),
-            "determinant": gram_determinant(model),
-            "unimodular": is_unimodular(model),
-            "signature": list(sig),
-        })
-        return 0
+    return {
+        "m": model.m,
+        "n": model.n,
+        "kind": model.kind,
+        "rank": model.rank,
+        "basis": model.basis_names,
+        "gram": model.gram,
+        "anticanonical": mk.coeffs,
+        "anticanonical_square": model.intersect(mk, mk),
+        "k_squared_singular": str(k_squared_singular(model.m, model.n)),
+        "determinant": gram_determinant(model),
+        "unimodular": is_unimodular(model),
+        "signature": lattice_signature(model),
+    }
+
+
+def _show_lattice(doc: dict) -> None:
     _print_kv([
-        ("model", model.basis_tag),
-        ("rank", str(model.rank)),
-        ("basis", " ".join(model.basis_names)),
-        ("-K", str(mk.coeffs)),
-        ("(-K)^2", str(model.intersect(mk, mk))),
-        ("k^2 singular", str(k_squared_singular(model.m, model.n))),
-        ("determinant", str(gram_determinant(model))),
-        ("unimodular", "yes" if is_unimodular(model) else "no"),
-        ("signature", str(sig)),
+        ("model", _model_tag(doc)),
+        ("rank", str(doc["rank"])),
+        ("basis", " ".join(doc["basis"])),
+        ("-K", str(doc["anticanonical"])),
+        ("(-K)^2", str(doc["anticanonical_square"])),
+        ("k^2 singular", doc["k_squared_singular"]),
+        ("determinant", str(doc["determinant"])),
+        ("unimodular", "yes" if doc["unimodular"] else "no"),
+        ("signature", str(doc["signature"])),
     ])
     print("gram:")
-    for line in _matrix_lines(model.gram):
-        print(f"  {line}")
-    return 0
+    width = max(len(str(x)) for row in doc["gram"] for x in row)
+    for row in doc["gram"]:
+        print("  " + "  ".join(f"{x:>{width}}" for x in row))
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
+def _cmd_curves(args: argparse.Namespace) -> dict:
     if args.bound < 0:
         raise ParameterError(f"--bound must be >= 0, got {args.bound}")
     if args.bound > MAX_BOUND:
@@ -204,48 +209,44 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     model = build_model(args.m, args.n, args.kind)
     certified = is_del_pezzo(model.m, model.n)
     header = {"m": model.m, "n": model.n, "kind": model.kind, "certified": certified}
-    header_pairs = [
-        ("model", model.basis_tag),
-        ("certified", "yes" if certified else "no (window census)"),
-    ]
-
     if args.meeting_q:
         classes = curves_meeting_q(model, args.bound)
-        if args.json:
-            _emit({**header, "count": len(classes), "classes": [list(c.coeffs) for c in classes]})
-            return 0
-        _print_kv(header_pairs + [("Q-meeting classes", str(len(classes)))])
-        for c in classes:
-            print(f"  {c.coeffs}")
-        return 0
-
+        return {**header, "count": len(classes), "classes": [c.coeffs for c in classes]}
     families = minus_one_census(model, args.bound)
-    total = sum(len(fam) for fam in families)
-    if args.json:
-        _emit({
-            **header,
-            "total": total,
-            "families": [
-                {
-                    "label": fam.label,
-                    "degree": fam.degree,
-                    "count": len(fam),
-                    "classes": [list(c.coeffs) for c in fam.members],
-                }
-                for fam in families
-            ],
-        })
-        return 0
-    _print_kv(header_pairs + [("total", str(total))])
-    for fam in families:
-        tag = f" d={fam.degree}" if fam.degree is not None else ""
-        print(f"family {fam.label}{tag} ({len(fam)} classes)")
-        for c in fam.members:
-            print(f"  {c.coeffs}")
-    return 0
+    return {
+        **header,
+        "total": sum(len(fam) for fam in families),
+        "families": [
+            {
+                "label": fam.label,
+                "degree": fam.degree,
+                "count": len(fam),
+                "classes": [c.coeffs for c in fam.members],
+            }
+            for fam in families
+        ],
+    }
 
 
-def _cmd_rr(args: argparse.Namespace) -> int:
+def _show_curves(doc: dict) -> None:
+    pairs = [
+        ("model", _model_tag(doc)),
+        ("certified", "yes" if doc["certified"] else "no (window census)"),
+    ]
+    if "classes" in doc:
+        _print_kv(pairs + [("Q-meeting classes", str(doc["count"]))])
+        for coeffs in doc["classes"]:
+            print(f"  {coeffs}")
+        return
+    _print_kv(pairs + [("total", str(doc["total"]))])
+    for fam in doc["families"]:
+        tag = f" d={fam['degree']}" if fam["degree"] is not None else ""
+        print(f"family {fam['label']}{tag} ({fam['count']} classes)")
+        for coeffs in fam["classes"]:
+            print(f"  {coeffs}")
+
+
+def _cmd_rr(args: argparse.Namespace) -> dict:
     if args.max_j is None and not args.embedding:
         raise ParameterError("nothing to do: pass --max-j and/or --embedding")
     if args.max_j is not None and args.n is None:
@@ -253,48 +254,39 @@ def _cmd_rr(args: argparse.Namespace) -> int:
     if args.max_j is not None and args.max_j > MAX_J:
         raise ParameterError(f"--max-j must be <= {MAX_J}, got {args.max_j}")
 
-    payload: dict = {"m": args.m}
-    rows = ()
-    desc = None
+    doc: dict = {"m": args.m}
     if args.max_j is not None:
-        rows = anti_plurigenus_table(args.m, args.n, args.max_j)
-        payload["n"] = args.n
-        payload["rows"] = [
-            {
-                "j": row.j,
-                "residue": row.residue,
-                "correction": str(row.correction),
-                "h0": row.h0,
-            }
-            for row in rows
+        doc["n"] = args.n
+        doc["rows"] = [
+            {"j": row.j, "residue": row.residue, "correction": str(row.correction), "h0": row.h0}
+            for row in anti_plurigenus_table(args.m, args.n, args.max_j)
         ]
     if args.embedding:
         desc = embedding_descriptor(args.m)
-        kind = "hypersurface" if len(desc.degrees) == 1 else "complete_intersection"
-        payload["embedding"] = {
-            "weights": list(desc.weights),
-            "degrees": list(desc.degrees),
-            "type": kind,
+        doc["embedding"] = {
+            "weights": desc.weights,
+            "degrees": desc.degrees,
+            "type": "hypersurface" if len(desc.degrees) == 1 else "complete_intersection",
         }
-    if args.json:
-        _emit(payload)
-        return 0
+    return doc
 
-    if rows:
-        print(f"model hirzebruch(m={args.m},n={args.n})")
+
+def _show_rr(doc: dict) -> None:
+    if "rows" in doc:
+        print(f"model hirzebruch(m={doc['m']},n={doc['n']})")
         cells = [("j", "t", "correction", "h0")]
-        cells += [(str(r.j), str(r.residue), str(r.correction), str(r.h0)) for r in rows]
+        cells += [(str(r["j"]), str(r["residue"]), r["correction"], str(r["h0"])) for r in doc["rows"]]
         widths = [max(len(row[i]) for row in cells) for i in range(4)]
         for row in cells:
             print("  ".join(f"{row[i]:>{widths[i]}}" for i in range(4)))
-    if desc is not None:
-        weights = ",".join(str(w) for w in desc.weights)
-        if len(desc.degrees) == 1:
-            print(f"embedding: hypersurface of degree {desc.degrees[0]} in P({weights})")
+    if "embedding" in doc:
+        embedding = doc["embedding"]
+        weights = ",".join(str(w) for w in embedding["weights"])
+        if embedding["type"] == "hypersurface":
+            print(f"embedding: hypersurface of degree {embedding['degrees'][0]} in P({weights})")
         else:
-            d1, d2 = desc.degrees
+            d1, d2 = embedding["degrees"]
             print(f"embedding: complete intersection of degrees {d1}, {d2} in P({weights})")
-    return 0
 
 
 _INSTANCE_KEYS = {"format", "model", "curves", "galois", "q_point"}
@@ -345,10 +337,10 @@ def _load_instance(path: str) -> dict:
     return doc
 
 
-def _cmd_ell(args: argparse.Namespace) -> int:
-    doc = _load_instance(args.instance)
-    entry = doc["model"]
-    raw_curves = doc.get("curves", "auto")
+def _cmd_ell(args: argparse.Namespace) -> dict:
+    instance = _load_instance(args.instance)
+    entry = instance["model"]
+    raw_curves = instance.get("curves", "auto")
     auto = raw_curves == "auto"
     _check_m(entry["m"], entry["n"] if auto else None)
     model = build_model(entry["m"], entry["n"], entry["kind"])
@@ -361,74 +353,63 @@ def _cmd_ell(args: argparse.Namespace) -> int:
     if len(curves) > MAX_CURVES:
         raise ParameterError(f"ell takes at most {MAX_CURVES} curves, got {len(curves)}")
     system = build_curve_system(model, list(curves))
-    generators = [list(g) for g in doc["galois"]]
-    if generators:
-        action = GaloisAction.from_one_based(len(system), generators)
-    else:
-        action = GaloisAction.trivial(len(system))
+    action = GaloisAction.from_one_based(len(system), instance["galois"])
 
     result = compute_ell(system, action)
-    orbits = orbit_partition(action)
-
-    verdict_payload = None
-    if "q_point" in doc:
+    doc = {
+        "model": {"m": model.m, "n": model.n, "kind": model.kind},
+        "curve_count": len(system),
+        "orbits": [[i + 1 for i in orbit] for orbit in orbit_partition(action)],
+        "ell": result.ell,
+        "witness": [i + 1 for i in result.witness],
+        "witness_orbits": [[i + 1 for i in orbit] for orbit in result.witness_orbits],
+    }
+    if "q_point" in instance:
+        verdict_args = argparse.Namespace(m=model.m, n=model.n, q_point=instance["q_point"],
+                                          ell=result.ell if model.n >= model.m + 4 else None)
         try:
-            need_ell = model.n >= model.m + 4
-            verdict_payload = _verdict_document(classify(
-                model.m,
-                model.n,
-                ell=result.ell if need_ell else None,
-                q_point=doc["q_point"],
-            ))
+            doc["verdict"] = _cmd_classify(verdict_args)
         except ToolkitError as exc:
-            verdict_payload = {"error": str(exc)}
+            doc["verdict"] = {"error": str(exc)}
+    return doc
 
-    if args.json:
-        payload = {
-            "model": {"m": model.m, "n": model.n, "kind": model.kind},
-            "curve_count": len(system),
-            "orbits": [[i + 1 for i in orbit] for orbit in orbits],
-            "ell": result.ell,
-            "witness": [i + 1 for i in result.witness],
-            "witness_orbits": [[i + 1 for i in orbit] for orbit in result.witness_orbits],
-        }
-        if verdict_payload is not None:
-            payload["verdict"] = verdict_payload
-        _emit(payload)
-        return 0
 
-    def orbit_text(orbits_seq) -> str:
-        if not orbits_seq:
-            return "-"
-        return " ".join("{" + ",".join(str(i + 1) for i in orbit) + "}" for orbit in orbits_seq)
+def _orbit_text(orbits) -> str:
+    return " ".join("{" + ",".join(str(i) for i in orbit) + "}" for orbit in orbits) or "-"
 
+
+def _show_ell(doc: dict) -> None:
     pairs = [
-        ("model", model.basis_tag),
-        ("curves", str(len(system))),
-        ("orbits", orbit_text(orbits)),
-        ("ell", str(result.ell)),
-        ("witness", " ".join(str(i + 1) for i in result.witness) or "-"),
-        ("witness orbits", orbit_text(result.witness_orbits)),
+        ("model", _model_tag(doc["model"])),
+        ("curves", str(doc["curve_count"])),
+        ("orbits", _orbit_text(doc["orbits"])),
+        ("ell", str(doc["ell"])),
+        ("witness", " ".join(str(i) for i in doc["witness"]) or "-"),
+        ("witness orbits", _orbit_text(doc["witness_orbits"])),
     ]
-    if verdict_payload is not None:
-        if "error" in verdict_payload:
-            pairs.append(("verdict", f"unavailable: {verdict_payload['error']}"))
-        else:
-            pairs += _verdict_pairs(verdict_payload)
+    verdict = doc.get("verdict")
+    if verdict is not None and "error" in verdict:
+        pairs.append(("verdict", f"unavailable: {verdict['error']}"))
+    elif verdict is not None:
+        pairs += _verdict_pairs(verdict)
     _print_kv(pairs)
-    return 0
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
-    document = _verdict_document(classify(args.m, args.n, ell=args.ell, q_point=args.q_point))
-    if args.json:
-        _emit(document)
-        return 0
-    _print_kv(_verdict_pairs(document))
-    return 0
+def _cmd_classify(args: argparse.Namespace) -> dict:
+    verdict = classify(args.m, args.n, ell=args.ell, q_point=args.q_point)
+    return {
+        "rational": str(verdict.rational),
+        "cylindrical": str(verdict.cylindrical),
+        "citations": verdict.citations,
+        "notes": verdict.notes,
+    }
 
 
-def _cmd_sections_ci(args: argparse.Namespace) -> int:
+def _show_classify(doc: dict) -> None:
+    _print_kv(_verdict_pairs(doc))
+
+
+def _cmd_sections_ci(args: argparse.Namespace) -> dict:
     h = binary_form(_parse_coeffs(args.h))
     if h.degree > MAX_SECTIONS_DEGREE:
         raise ParameterError(
@@ -440,123 +421,115 @@ def _cmd_sections_ci(args: argparse.Namespace) -> int:
     # the linear factors carry every rational root, with its multiplicity
     root_items = sorted((-f.coeffs[0] / f.coeffs[1], mult)
                         for f, mult in decomposition.factors if f.degree == 1)
-    if args.json:
-        _emit({
-            "polynomial": poly_text(p, "a"),
-            "degree": p.degree,
-            "coefficients": [int(c) for c in p.coeffs],
-            "rational_roots": [
-                {"root": str(root), "multiplicity": mult} for root, mult in root_items
-            ],
-            "unit": str(decomposition.unit),
-            "factors": [
-                {"text": poly_text(f, "a"), "degree": f.degree, "multiplicity": mult}
-                for f, mult in decomposition.factors
-            ],
-            "unresolved": (
-                poly_text(decomposition.unresolved, "a")
-                if decomposition.unresolved is not None
-                else None
-            ),
-            "factorization_complete": decomposition.complete,
-        })
-        return 0
-    if root_items:
-        roots_text = ", ".join(
-            str(root) if mult == 1 else f"{root} (x{mult})" for root, mult in root_items
-        )
-    else:
-        roots_text = "none"
-    parts = []
-    if decomposition.unit != 1:
-        parts.append(str(decomposition.unit))
-    for f, mult in decomposition.factors:
-        text = f"({poly_text(f, 'a')})"
-        parts.append(text if mult == 1 else f"{text}^{mult}")
-    if decomposition.unresolved is not None:
-        parts.append(f"[no factor found within method: {poly_text(decomposition.unresolved, 'a')}]")
+    return {
+        "polynomial": poly_text(p, "a"),
+        "degree": p.degree,
+        "coefficients": [int(c) for c in p.coeffs],
+        "rational_roots": [
+            {"root": str(root), "multiplicity": mult} for root, mult in root_items
+        ],
+        "unit": str(decomposition.unit),
+        "factors": [
+            {"text": poly_text(f, "a"), "degree": f.degree, "multiplicity": mult}
+            for f, mult in decomposition.factors
+        ],
+        "unresolved": (
+            poly_text(decomposition.unresolved, "a")
+            if decomposition.unresolved is not None
+            else None
+        ),
+        "factorization_complete": decomposition.complete,
+    }
+
+
+def _show_sections_ci(doc: dict) -> None:
+    roots_text = ", ".join(
+        r["root"] if r["multiplicity"] == 1 else f"{r['root']} (x{r['multiplicity']})"
+        for r in doc["rational_roots"]
+    )
+    parts = [] if doc["unit"] == "1" else [doc["unit"]]
+    for f in doc["factors"]:
+        text = f"({f['text']})"
+        parts.append(text if f["multiplicity"] == 1 else f"{text}^{f['multiplicity']}")
+    if doc["unresolved"] is not None:
+        parts.append(f"[no factor found within method: {doc['unresolved']}]")
     _print_kv([
-        ("p(a)", poly_text(p, "a")),
-        ("degree", str(p.degree)),
-        ("rational roots", roots_text),
+        ("p(a)", doc["polynomial"]),
+        ("degree", str(doc["degree"])),
+        ("rational roots", roots_text or "none"),
         ("factors", " * ".join(parts)),
-        ("complete", "yes" if decomposition.complete else "no"),
+        ("complete", "yes" if doc["factorization_complete"] else "no"),
     ])
-    return 0
 
 
-def _cmd_sections_lines(args: argparse.Namespace) -> int:
+def _cmd_sections_lines(args: argparse.Namespace) -> dict:
     a_form, b_form = binary_form(_parse_coeffs(args.a)), binary_form(_parse_coeffs(args.b))
     _check_coefficients(a_form.dehomogenized(), b_form.dehomogenized())
     census = line_census(a_form, b_form)
-    if args.json:
-        _emit({
-            "total": census.total_lines,
-            "splits": [
-                {
-                    "source": entry.source,
-                    "root": str(entry.root) if entry.root is not None else None,
-                    "factor": entry.factor,
-                    "count": entry.count,
-                    "c": str(entry.residual) if entry.residual is not None else None,
-                    "rational_pair": entry.rational_pair,
-                }
-                for entry in census.split_values
-            ],
-            "infinity_section": census.includes_infinity_section,
-        })
-        return 0
+    return {
+        "total": census.total_lines,
+        "splits": [
+            {
+                "source": entry.source,
+                "root": str(entry.root) if entry.root is not None else None,
+                "factor": entry.factor,
+                "count": entry.count,
+                "c": str(entry.residual) if entry.residual is not None else None,
+                "rational_pair": entry.rational_pair,
+            }
+            for entry in census.split_values
+        ],
+        "infinity_section": census.includes_infinity_section,
+    }
+
+
+def _show_sections_lines(doc: dict) -> None:
     _print_kv([
-        ("total lines", str(census.total_lines)),
-        ("infinity section", "yes" if census.includes_infinity_section else "no"),
+        ("total lines", str(doc["total"])),
+        ("infinity section", "yes" if doc["infinity_section"] else "no"),
     ])
     print("split values:")
-    cells = [("source", "root", "count", "c", "rational pair", "factor")]
-    for entry in census.split_values:
-        cells.append((
-            entry.source,
-            str(entry.root) if entry.root is not None else "-",
-            str(entry.count),
-            str(entry.residual) if entry.residual is not None else "-",
-            {True: "yes", False: "no", None: "-"}[entry.rational_pair],
-            entry.factor,
-        ))
+    cells = [("source", "root", "count", "c", "rational pair", "factor")] + [
+        (split["source"], split["root"] or "-", str(split["count"]), split["c"] or "-",
+         {True: "yes", False: "no", None: "-"}[split["rational_pair"]], split["factor"])
+        for split in doc["splits"]
+    ]
     widths = [max(len(row[i]) for row in cells) for i in range(6)]
     for row in cells:
         print("  " + "  ".join(f"{row[i]:<{widths[i]}}" for i in range(6)).rstrip())
-    return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> dict:
     results = run_all()
-    ok = all(r.passed for r in results)
     first = next((r for r in results if not r.passed), None)
-    if args.json:
-        _emit({
-            "passed": ok,
-            "first_failure": first.tag if first is not None else None,
-            "results": [
-                {
-                    "number": r.number,
-                    "tag": r.tag,
-                    "title": r.title,
-                    "passed": r.passed,
-                    "detail": r.detail,
-                }
-                for r in results
-            ],
-        })
-        return 0 if ok else 2
-    tag_width = max(len(r.tag) for r in results)
+    return {
+        "passed": first is None,
+        "first_failure": first.tag if first is not None else None,
+        "results": [
+            {
+                "number": r.number,
+                "tag": r.tag,
+                "title": r.title,
+                "passed": r.passed,
+                "detail": r.detail,
+            }
+            for r in results
+        ],
+    }
+
+
+def _show_verify(doc: dict) -> None:
+    results = doc["results"]
+    tag_width = max(len(r["tag"]) for r in results)
     for r in results:
-        mark = "PASS" if r.passed else "FAIL"
-        print(f"{mark}  {r.number}  [{r.tag}]{' ' * (tag_width - len(r.tag))}  {r.title}: {r.detail}")
-    if ok:
+        mark = "PASS" if r["passed"] else "FAIL"
+        pad = " " * (tag_width - len(r["tag"]))
+        print(f"{mark}  {r['number']}  [{r['tag']}]{pad}  {r['title']}: {r['detail']}")
+    if doc["passed"]:
         print(f"all {len(results)} checks passed")
     else:
-        failed = sum(1 for r in results if not r.passed)
-        print(f"{failed} of {len(results)} checks failed; first failing clause: {first.tag}")
-    return 0 if ok else 2
+        failed = sum(1 for r in results if not r["passed"])
+        print(f"{failed} of {len(results)} checks failed; first failing clause: {doc['first_failure']}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -568,8 +541,7 @@ def _build_parser() -> argparse.ArgumentParser:
     lattice.add_argument("--m", type=int, required=True, help=f"at most {MAX_M}")
     lattice.add_argument("--n", type=int, required=True)
     lattice.add_argument("--kind", choices=(HIRZEBRUCH, PLANE), default=HIRZEBRUCH)
-    lattice.add_argument("--json", action="store_true")
-    lattice.set_defaults(handler=_cmd_lattice)
+    lattice.set_defaults(handler=_cmd_lattice, show=_show_lattice)
 
     curves = sub.add_parser("curves", help="census of (-1)-curve classes")
     curves.add_argument("--m", type=int, required=True,
@@ -581,23 +553,20 @@ def _build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--bound", type=int, default=0,
                         help="enlarge the default box of a window census (K_X^2 <= 0) by "
                         f"this margin, 0 to {MAX_BOUND}")
-    curves.add_argument("--json", action="store_true")
-    curves.set_defaults(handler=_cmd_curves)
+    curves.set_defaults(handler=_cmd_curves, show=_show_curves)
 
     rr = sub.add_parser("rr", help="anti-plurigenus table and embedding descriptor")
     rr.add_argument("--m", type=int, required=True)
     rr.add_argument("--n", type=int, help="with --max-j, a del Pezzo surface (K_X^2 > 0)")
     rr.add_argument("--max-j", type=int, help=f"1 to {MAX_J}")
     rr.add_argument("--embedding", action="store_true")
-    rr.add_argument("--json", action="store_true")
-    rr.set_defaults(handler=_cmd_rr)
+    rr.set_defaults(handler=_cmd_rr, show=_show_rr)
 
     ell = sub.add_parser("ell", help="invariant disjoint-curve count from an instance file")
     ell.add_argument("--instance", required=True, metavar="PATH",
                      help=f"instance file: m at most {MAX_M} (at most {MAX_CENSUS_M} for "
                      f'"auto" curves with n >= m+4), at most {MAX_CURVES} curves')
-    ell.add_argument("--json", action="store_true")
-    ell.set_defaults(handler=_cmd_ell)
+    ell.set_defaults(handler=_cmd_ell, show=_show_ell)
 
     classify_parser = sub.add_parser("classify", help="rationality and cylindricity verdict")
     classify_parser.add_argument("--m", type=int, required=True)
@@ -605,8 +574,7 @@ def _build_parser() -> argparse.ArgumentParser:
     classify_parser.add_argument("--ell", type=int)
     classify_parser.add_argument("--q-point", choices=("yes", "no", "unknown"),
                                  default="unknown", dest="q_point")
-    classify_parser.add_argument("--json", action="store_true")
-    classify_parser.set_defaults(handler=_cmd_classify)
+    classify_parser.set_defaults(handler=_cmd_classify, show=_show_classify)
 
     sections = sub.add_parser("sections", help="hyperplane-section splitting analysis")
     secsub = sections.add_subparsers(dest="section_command", required=True, parser_class=_Parser)
@@ -615,25 +583,27 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="binary form coefficients, highest x power first; "
                     "write --h=-1,... when the first is negative; degree at most "
                     f"{MAX_SECTIONS_DEGREE}; p(a) in primitive integer form may have "
-                    f"coefficients up to {MAX_SECTIONS_COEFF} in absolute value")
-    ci.add_argument("--json", action="store_true")
-    ci.set_defaults(handler=_cmd_sections_ci)
+                    f"coefficients up to {MAX_SECTIONS_COEFF} in absolute value; "
+                    f"at most {MAX_SECTIONS_DIGITS} digits, an exponent eK counting |K| more")
+    ci.set_defaults(handler=_cmd_sections_ci, show=_show_sections_ci)
     lines = secsub.add_parser("lines", help="census of lines on w^2 = A + B z^2")
     lines.add_argument("--a", required=True, metavar="COEFFS",
                        help="the form A, highest x power first; "
                        "write --a=-1,... when the first is negative; A and B in primitive "
                        f"integer form may have coefficients up to {MAX_SECTIONS_COEFF} "
-                       "in absolute value")
+                       f"in absolute value; at most {MAX_SECTIONS_DIGITS} digits, an "
+                       "exponent eK counting |K| more")
     lines.add_argument("--b", required=True, metavar="COEFFS",
                        help="the form B, highest x power first; "
-                       "write --b=-1,... when the first is negative")
-    lines.add_argument("--json", action="store_true")
-    lines.set_defaults(handler=_cmd_sections_lines)
+                       "write --b=-1,... when the first is negative; at most "
+                       f"{MAX_SECTIONS_DIGITS} digits, an exponent eK counting |K| more")
+    lines.set_defaults(handler=_cmd_sections_lines, show=_show_sections_lines)
 
     verify = sub.add_parser("verify", help="run the full self-check battery")
-    verify.add_argument("--json", action="store_true")
-    verify.set_defaults(handler=_cmd_verify)
+    verify.set_defaults(handler=_cmd_verify, show=_show_verify)
 
+    for leaf in (lattice, curves, rr, ell, classify_parser, ci, lines, verify):
+        leaf.add_argument("--json", action="store_true")
     return parser
 
 
@@ -641,7 +611,9 @@ def run(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.handler(args)
+        doc = args.handler(args)
+        (_emit if args.json else args.show)(doc)
+        return 2 if doc.get("passed") is False else 0
     except InternalInvariantError as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return 2

@@ -66,12 +66,6 @@ class DivisorClass:
         self._matched(other)
         return DivisorClass(self.basis, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "DivisorClass":
-        return DivisorClass(self.basis, tuple(-a for a in self.coeffs))
-
-    def __rmul__(self, k: int) -> "DivisorClass":
-        return DivisorClass(self.basis, tuple(int(k) * a for a in self.coeffs))
-
     def is_zero(self) -> bool:
         return all(a == 0 for a in self.coeffs)
 
@@ -186,13 +180,25 @@ class SurfaceModel:
         return named
 
 
+def integral(name: str, value) -> int:
+    """value as an int, refused unless it is one: 3 and 3.0 pass, 3.5 does not."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        as_int = None
+    if as_int is None or as_int != value:
+        raise ParameterError(f"{name} must be an integer, got {value!r}")
+    return as_int
+
+
 def check_mn(m: int, n: int | None = None) -> tuple[int, int | None]:
-    """(m, n) as integers, refused unless m >= 2 and, when n is given, 1 <= n <= m+5."""
-    m = int(m)
+    """(m, n) as integers, refused unless both are integral, m >= 2 and, when
+    n is given, 1 <= n <= m+5."""
+    m = integral("m", m)
     if m < 2:
         raise ParameterError(f"m must be >= 2, got {m}")
     if n is not None:
-        n = int(n)
+        n = integral("n", n)
         if not 1 <= n <= m + 5:
             raise ParameterError(f"n must satisfy 1 <= n <= m+5 = {m + 5}, got {n}")
     return m, n

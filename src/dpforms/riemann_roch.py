@@ -22,13 +22,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParameterError
-from .lattice import check_mn, is_del_pezzo, k_squared_singular
+from .lattice import check_mn, integral, is_del_pezzo, k_squared_singular
 
 
 def correction_residue(m: int, j: int) -> int:
     """The residue t = -2j mod m, normalized to 0 <= t <= m-1."""
     m, _ = check_mn(m)
-    j = int(j)
+    j = integral("j", j)
     if j < 0:
         raise ParameterError(f"j must be >= 0, got {j}")
     return (-2 * j) % m
@@ -36,6 +36,7 @@ def correction_residue(m: int, j: int) -> int:
 
 def correction_term(m: int, j: int) -> Fraction:
     """Correction to chi(-jK) from the (1/m)(1,1) point.  Periodic: c(m, j) = c(m, j+m)."""
+    m, _ = check_mn(m)
     t = correction_residue(m, j)
     if t == 0:
         return Fraction(0)
@@ -49,6 +50,8 @@ def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
     or negative value can only mean a broken invariant, and the guard
     raises InternalInvariantError rather than rounding.
     """
+    m, n = check_mn(m, n)
+    j = integral("j", j)
     value = 1 + Fraction(j * (j + 1), 2) * k_squared_singular(m, n) + correction_term(m, j)
     if value.denominator != 1:
         raise InternalInvariantError(

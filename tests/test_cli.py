@@ -4,12 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from dpforms import PLANE, build_model, curves_meeting_q, standard_curve_system
 from dpforms.cli import run
+from dpforms.verification import CheckResult
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -101,6 +103,17 @@ def test_curves_meeting_q_lists_the_ell_curves(capsys):
     )
     window = curves_meeting_q(build_model(4, 9), 1)
     assert code == 0 and json.loads(out)["classes"] == [list(c.coeffs) for c in window]
+    # the header of the text table, certified and not
+    for argv, header in (
+        (["--m", "2", "--n", "5"], ["model              hirzebruch(m=2,n=5)",
+                                    "certified          yes",
+                                    "Q-meeting classes  6"]),
+        (["--m", "4", "--n", "9", "--bound", "1"], ["model              hirzebruch(m=4,n=9)",
+                                                    "certified          no (window census)",
+                                                    f"Q-meeting classes  {len(window)}"]),
+    ):
+        code, out, _ = _capture(capsys, ["curves", *argv, "--meeting-q"])
+        assert code == 0 and out.splitlines()[:3] == header
 
 
 def test_curves_negative_bound_refused(capsys):
@@ -398,6 +411,15 @@ def test_sections_ci(capsys):
     assert doc["polynomial"] == "a^8 - 4*a^6 + a^2 - 4"
     assert [r["root"] for r in doc["rational_roots"]] == ["-2", "2"]
     assert doc["factorization_complete"] is True
+    # a repeated root carries its multiplicity, in the roots and the factors
+    code, out, _ = _capture(capsys, ["sections", "ci", "--h", "1,-4,6,-4,1"])
+    assert code == 0 and out == (
+        "p(a)            a^6 - 4*a^5 + 2*a^4 + 12*a^3 - 23*a^2 + 16*a - 4\n"
+        "degree          6\n"
+        "rational roots  -2, 1 (x4), 2\n"
+        "factors         (a - 2) * (a - 1)^4 * (a + 2)\n"
+        "complete        yes\n"
+    )
     code, _, err = _capture(capsys, ["sections", "ci", "--h", "0,0,0"])
     assert code == 1
     code, _, err = _capture(capsys, ["sections", "ci", "--h", "1,oops"])
@@ -413,6 +435,18 @@ def test_sections_lines(capsys):
     assert doc["total"] == 12
     assert doc["infinity_section"] is False
     assert all(entry["root"] is None for entry in doc["splits"])
+    # A = x^4 + x y^3 vanishes at (0, 1): the section at infinity is a line pair
+    code, out, _ = _capture(capsys, ["sections", "lines", "--a", "1,0,0,1,0", "--b", "1,0,1"])
+    assert code == 0 and out == (
+        "total lines       12\n"
+        "infinity section  yes\n"
+        "split values:\n"
+        "  source    root  count  c  rational pair  factor\n"
+        "  A         -1    1      2  no             t + 1\n"
+        "  A         -     2      -  -              t^2 - t + 1\n"
+        "  B         -     2      -  -              t^2 + 1\n"
+        "  infinity  -     1      1  yes            infinity\n"
+    )
     code, _, err = _capture(capsys, ["sections", "lines", "--a", "1,0,0,0,1", "--b", "1,2,1"])
     assert code == 1 and "squarefree" in err
 
@@ -450,6 +484,44 @@ def test_sections_caps(capsys):
         assert f"--h of degree at most 16, got {degree}" in err
     code, out, _ = _capture(capsys, ["sections", "ci", "--h", ",".join(["1"] + ["0"] * 15 + ["1"]), "--json"])
     assert code == 0 and json.loads(out)["degree"] == 18
+    # a coefficient list is sized before Fraction() reads it: its digits, and
+    # |K| more for each exponent eK; 10^990 (x^4 + y^4) is 1991, 10^1000 2013
+    for argv, size in (
+        (["ci", "--h", "1e1000,0,0,0,1e1000"], 2013),
+        (["ci", "--h", "1e5000,0,0,0,1"], 5009),
+        (["ci", "--h", "1e10000000,0,0,0,1"], 10000013),
+        (["ci", "--h=1E-1_000_000,0,0,0,1"], 1000012),
+        (["lines", "--a", "1e5000,0,0,0,1", "--b", "1,0,1"], 5009),
+        (["lines", "--a", ",".join(f"1/{10**6 + k}" for k in range(700)), "--b", "1,0,1"], 5600),
+    ):
+        start = time.perf_counter()
+        code, out, err = _capture(capsys, ["sections", *argv])
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == "" and "Traceback" not in err
+        assert err == ("error: sections takes coefficient lists of at most 2000 digits, "
+                       f"counting |K| more for an exponent eK, got {size}\n")
+    for h in ("1e990,0,0,0,1e990", "1,0,0,0,1", "1/2,0,3/4,0,1"):
+        code, out, _ = _capture(capsys, ["sections", "ci", "--h", h, "--json"])
+        assert code == 0 and json.loads(out)["factorization_complete"] is True
+    code, out, _ = _capture(capsys, ["sections", "ci", "--h", "1e990,0,0,0,1e990"])
+    assert out == _capture(capsys, ["sections", "ci", "--h", "1,0,0,0,1"])[1]
+
+
+def test_verify_failure_exits_2(capsys, monkeypatch):
+    passing = CheckResult(1, "ex:ok", "a check that passes", True, "1 comparison")
+    failing = CheckResult(2, "thm:broken", "a check that fails", False, "1 problem: x")
+    monkeypatch.setattr("dpforms.verification.ALL_CHECKS", (lambda: passing, lambda: failing))
+    code, out, err = _capture(capsys, ["verify"])
+    assert code == 2 and err == "" and out == (
+        "PASS  1  [ex:ok]       a check that passes: 1 comparison\n"
+        "FAIL  2  [thm:broken]  a check that fails: 1 problem: x\n"
+        "1 of 2 checks failed; first failing clause: thm:broken\n"
+    )
+    code, out, err = _capture(capsys, ["verify", "--json"])
+    doc = json.loads(out)
+    assert code == 2 and err == ""
+    assert doc["passed"] is False and doc["first_failure"] == "thm:broken"
+    assert [r["passed"] for r in doc["results"]] == [True, False]
 
 
 def test_output_deterministic(capsys):

