@@ -22,7 +22,11 @@ intersects (a bitmask of the curves one orbit meets, ANDed with the other's
 members), and ell is the maximum weight independent set in that conflict
 graph with orbit sizes as weights.  `compute_ell` solves this exactly by
 branch and bound; `brute_force_ell` re-derives it by exhausting all unions of
-orbits and exists purely as a cross-check.
+orbits and exists purely as a cross-check.  It shares no mask with the
+search: it tabulates, for every subset of each half of the orbits, the union
+U of their members and the union N of the curves those members meet, and
+tests each union of orbits by the two defining conditions, U inside the
+curves that meet Q and U & N == 0, with no pruning.
 
 ell never exceeds rank(Pic) - 1: pairwise disjoint (-1)-curves have Gram
 matrix -I, so they span a negative definite subspace, and Pic has signature
@@ -306,18 +310,24 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     return EllResult(ell=best_weight, witness=witness, witness_orbits=picked)
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _subset_unions(masks: list[int]) -> list[int]:
+    """The OR of every subset of masks, at the index whose bit t marks masks[t]."""
+    unions = [0]
+    for mask in masks:
+        unions += [u | mask for u in unions]
+    return unions
 
 
 def brute_force_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     """Independent oracle: exhaust every union of orbits.
 
-    No pre-filtering and no pruning beyond the size guard; each candidate
-    union is tested in full against the two defining conditions.
+    A curve's mask marks the other curves it meets (not itself: the
+    diagonal is -1), and an orbit's "meets" mask ORs its members' masks.
+    Each half of the orbits gets a table of the union U of members and the
+    union N of meets over each of its subsets; with the high half outside,
+    the unions come in orbit-bitmask order 1 .. 2^k - 1.  U is admissible
+    iff it has no curve off Q and U & N == 0.  No pruning beyond the size
+    guard: every union is tested, and the first largest is the witness.
     """
     if len(system) > BRUTE_FORCE_LIMIT:
         raise SystemSizeError(
@@ -326,17 +336,22 @@ def brute_force_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     _require_valid(system, action)
     orbits = orbit_partition(action)
     gram = system.pair_gram
-    qinc = system.q_incidence
-    best = EllResult(ell=0, witness=(), witness_orbits=())
-    for mask in range(1, 1 << len(orbits)):
-        chosen = [orbits[i] for i in _bits(mask)]
-        members = sorted(i for orb in chosen for i in orb)
-        if any(qinc[i] < 1 for i in members):
-            continue
-        if any(gram[i][j] != 0 for i, j in combinations(members, 2)):
-            continue
-        if len(members) > best.ell:
-            best = EllResult(
-                ell=len(members), witness=tuple(members), witness_orbits=tuple(chosen)
-            )
-    return best
+    meets = [sum(1 << j for j, x in enumerate(row) if x != 0 and j != i)
+             for i, row in enumerate(gram)]
+    outside_q = ~sum(1 << i for i, q in enumerate(system.q_incidence) if q >= 1)
+    members = [sum(1 << i for i in orb) for orb in orbits]
+    orbit_meets = [reduce(or_, (meets[i] for i in orb)) for orb in orbits]
+    half = (len(orbits) + 1) // 2
+    low = list(zip(_subset_unions(members[:half]), _subset_unions(orbit_meets[:half])))
+    high = zip(_subset_unions(members[half:]), _subset_unions(orbit_meets[half:]))
+    best, best_index = 0, 0
+    for hi, (high_u, high_n) in enumerate(high):
+        for lo, (low_u, low_n) in enumerate(low):
+            u = high_u | low_u
+            if u & outside_q or u & (high_n | low_n):
+                continue
+            if u.bit_count() > best:
+                best, best_index = u.bit_count(), hi << half | lo
+    chosen = tuple(orb for t, orb in enumerate(orbits) if best_index >> t & 1)
+    witness = tuple(sorted(i for orb in chosen for i in orb))
+    return EllResult(ell=best, witness=witness, witness_orbits=chosen)

@@ -181,12 +181,13 @@ class SurfaceModel:
 
 
 def integral(name: str, value) -> int:
-    """value as an int, refused unless it is one: 3 and 3.0 pass, 3.5 does not."""
+    """value as an int, refused unless it is one: 3 and 3.0 pass, 3.5, "3"
+    and True do not."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError):
         as_int = None
-    if as_int is None or as_int != value:
+    if as_int is None or as_int != value or isinstance(value, bool):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return as_int
 

@@ -17,7 +17,7 @@ import enum
 from dataclasses import dataclass
 
 from .errors import InfeasibleEllError, ParameterError
-from .lattice import check_mn, is_del_pezzo
+from .lattice import check_mn, integral, is_del_pezzo
 
 
 class TriState(enum.Enum):
@@ -65,6 +65,7 @@ def feasible_ell(m: int, n: int) -> frozenset[int]:
     n = m+5: {1..m+3} and m+5, m+6 (ell >= 1 always; m+4 never occurs).
     """
     m, _ = check_mn(m)
+    n = integral("n", n)
     if n == m + 4:
         return frozenset(range(0, m + 3)) | {m + 4}
     if n == m + 5:
@@ -108,6 +109,7 @@ def classify(
     else:
         if ell is None:
             raise ParameterError(f"ell is required for n = {n}")
+        ell = integral("ell", ell)
         allowed = feasible_ell(m, n)
         if ell not in allowed:
             raise InfeasibleEllError(

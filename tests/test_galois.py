@@ -355,15 +355,22 @@ def test_compute_ell_matches_the_reference_where_the_cap_binds():
     assert result == _reference_ell(system, action)
 
 
+def _pair_swap(half, flipped):
+    """Swap E_i <-> E_i' in the first `flipped` pair slots (an even number):
+    each swapped pair is one orbit whose two members meet."""
+    image = [i + half if i < flipped else i for i in range(half)]
+    image += [i if i < flipped else i + half for i in range(half)]
+    return GaloisAction(2 * half, (tuple(i + 1 for i in image),))
+
+
 def test_compute_ell_matches_the_reference_where_the_cap_does_not_bind():
     # plane (m, m+4): ell <= m+4 < rank - 1 = m+5, so the full search runs
     for m in range(2, 6):
         system = _plane_system(m)
         half = m + 4
-        flipped = half - half % 2  # the README swap, on an even number of pairs
-        swap = tuple(i + half + 1 if i < flipped else i + 1 for i in range(half))
-        swap += tuple(i + 1 if i < flipped else i + half + 1 for i in range(half))
-        for action in (GaloisAction.trivial(2 * half), GaloisAction(2 * half, (swap,))):
+        # the README swap, on an even number of pairs
+        swap = _pair_swap(half, half - half % 2)
+        for action in (GaloisAction.trivial(2 * half), swap):
             result = compute_ell(system, action)
             assert result.ell < system.model.rank - 1, m
             assert result == _reference_ell(system, action), m
@@ -371,19 +378,73 @@ def test_compute_ell_matches_the_reference_where_the_cap_does_not_bind():
 
 def test_compute_ell_matches_brute_force_on_small_plane_systems():
     # every plane system with at most BRUTE_FORCE_LIMIT curves; the oracle
-    # exhausts 2^orbits unions, so the trivial action runs up to 16 curves and
-    # the random actions keep at most 14 orbits
+    # exhausts 2^orbits unions, so the trivial action runs up to 20 curves
+    # (m <= 6) and the random actions keep at most 16 orbits
     rng = random.Random(31)
     for m in range(2, 9):
         system = _plane_system(m)
         assert len(system) <= 24
-        actions = [GaloisAction.trivial(len(system))] if len(system) <= 16 else []
+        actions = [GaloisAction.trivial(len(system))] if len(system) <= 20 else []
         while len(actions) < 5:
             action = _realizable_plane_action(rng, m + 4)
-            if len(orbit_partition(action)) <= 14:
+            if len(orbit_partition(action)) <= 16:
                 actions.append(action)
         for action in actions:
             assert compute_ell(system, action) == brute_force_ell(system, action), m
+
+
+def _literal_oracle(system, action):
+    """The definition of ell read literally, on lists: every union of orbits
+    in the order of its orbit bitmask, each member checked against Q and each
+    pair of members against pair_gram, the first largest kept."""
+    orbits = orbit_partition(action)
+    gram = system.pair_gram
+    qinc = system.q_incidence
+    best = EllResult(ell=0, witness=(), witness_orbits=())
+    for mask in range(1, 1 << len(orbits)):
+        chosen = [orb for t, orb in enumerate(orbits) if mask >> t & 1]
+        members = sorted(i for orb in chosen for i in orb)
+        if any(qinc[i] < 1 for i in members):
+            continue
+        if any(gram[i][j] != 0 for i, j in combinations(members, 2)):
+            continue
+        if len(members) > best.ell:
+            best = EllResult(
+                ell=len(members), witness=tuple(members), witness_orbits=tuple(chosen)
+            )
+    return best
+
+
+def test_brute_force_is_the_literal_definition():
+    cases = []
+    rng = random.Random(77)
+    for m in range(2, 6):
+        system, half = _plane_system(m), m + 4
+        actions = [_pair_swap(half, half - half % 2), _pair_swap(half, half - half % 2 - 2)]
+        while len(actions) < 5:
+            action = _realizable_plane_action(rng, half)
+            if len(orbit_partition(action)) <= 10:
+                actions.append(action)
+        cases += [(system, action) for action in actions]
+    # the E_i have Q-incidence 0, so the optimum of 8 leaves them out
+    model = build_model(2, 7)
+    named = model.distinguished
+    curves = [distinguished_e0(model)]
+    curves += [named["F"] - named[f"E_{i}"] for i in range(1, 8)]
+    curves += [named[f"E_{i}"] for i in range(1, 8)]
+    cases.append((build_curve_system(model, curves), GaloisAction.trivial(15)))
+    # the whole (2,4) census: 12 curves, 8 of them off Q
+    model = build_model(2, 4)
+    census = build_curve_system(model, family_classes(minus_one_census(model)))
+    assert census.q_incidence.count(0) == 8
+    cases += [(census, GaloisAction.trivial(12))]
+    cases += [(census, _point_action(census, rng)) for _ in range(3)]
+    for system, action in cases:
+        assert validate_action(system, action).ok
+        assert brute_force_ell(system, action) == _literal_oracle(system, action), action
+    # at m = 2 all six pairs swap, so no orbit is admissible
+    assert brute_force_ell(*cases[0]).ell == 0
+    assert [brute_force_ell(*c).ell for c in cases[-5:]] == [8, 4, 4, 4, 4]
 
 
 def test_six_eleven_window_reaches_the_cap():

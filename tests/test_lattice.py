@@ -199,9 +199,16 @@ def test_one_parameter_guard():
     for call in m_and_n + [lambda m, n, f=f: f(m) for f in m_only]:
         with pytest.raises(ParameterError, match=r"^m must be an integer, got 2\.9$"):
             call(2.9, 6)
-    for call in m_and_n:
+    for call in m_and_n + [lambda m, n: feasible_ell(m, n)]:
         with pytest.raises(ParameterError, match=r"^n must be an integer, got 6\.2$"):
             call(3, 6.2)
+    # a bool is not an integer, though int(True) == 1
+    for call in m_and_n + [lambda m, n, f=f: f(m) for f in m_only]:
+        with pytest.raises(ParameterError, match=r"^m must be an integer, got True$"):
+            call(True, 6)
+    for call in m_and_n + [lambda m, n: feasible_ell(m, n)]:
+        with pytest.raises(ParameterError, match=r"^n must be an integer, got True$"):
+            call(3, True)
     for call in (lambda j: correction_residue(3, j), lambda j: h0_anti_plurigenus(3, 7, j)):
         with pytest.raises(ParameterError, match=r"^j must be an integer, got 1\.9$"):
             call(1.9)

@@ -131,6 +131,19 @@ def test_ell_requirements():
         classify(2, 7, ell=0)
 
 
+def test_ell_and_n_must_be_integers():
+    # an integral float is the integer; a string, a bool or a non-integral
+    # float is refused as non-integral, not as infeasible
+    assert classify(3, 7, ell=2.0) == classify(3, 7, ell=2)
+    assert feasible_ell(3, 7.0) == feasible_ell(3, 7)
+    for ell in ("2", True, False, 2.5):
+        with pytest.raises(ParameterError, match=rf"^ell must be an integer, got {ell!r}$"):
+            classify(3, 7, ell=ell)
+    for n in (7.5, "7"):
+        with pytest.raises(ParameterError, match=rf"^n must be an integer, got {n!r}$"):
+            feasible_ell(3, n)
+
+
 def test_outside_range_notes():
     v = classify(4, 9, ell=5)
     assert any("outside" in note for note in v.notes)
