@@ -620,8 +620,11 @@ def run(argv: list[str] | None = None) -> int:
     except InvalidActionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if exc.report is not None:
-            for violation in exc.report.violations:
+            violations = exc.report.violations
+            for violation in violations[:3]:
                 print(f"  {violation}", file=sys.stderr)
+            if len(violations) > 3:
+                print(f"  (+{len(violations) - 3} more)", file=sys.stderr)
         return 1
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import ParameterError, UnsupportedModelError
-from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel, is_del_pezzo
+from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel, integral, is_del_pezzo
 
 EXCEPTIONAL = "exceptional"
 FIBER_RESIDUAL = "fiber_residual"
@@ -54,11 +54,9 @@ class SearchBox:
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        cleaned = []
-        for pair in self.intervals:
-            lo, hi = pair
-            cleaned.append((int(lo), int(hi)))
-        object.__setattr__(self, "intervals", tuple(cleaned))
+        object.__setattr__(self, "intervals", tuple(
+            (integral("search box bound", lo), integral("search box bound", hi))
+            for lo, hi in self.intervals))
 
     def enlarged(self, pad: int = 1) -> "SearchBox":
         return SearchBox(tuple((lo - pad, hi + pad) for lo, hi in self.intervals))
@@ -240,10 +238,9 @@ def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
             (delta_class(model),) if n <= m + 3
             else (distinguished_e0(model),) if n == m + 5 else ()
         )
-        # D.C = u.D with u = Gram.C, and u is constant on the block for Delta
+        # D.C = u.D with u the dual row of C, constant on the block for Delta
         # and E_0, so D.C = u0*a + u1*b + u2*(block sum) is fixed by the head
-        duals = [[sum(g * x for g, x in zip(row, c.coeffs)) for row in model.gram[:3]]
-                 for c in special]
+        duals = [model.dual(c)[:3] for c in special]
         (a_lo, a_hi), (b_lo, b_hi) = iv[0], iv[1]
         for a in range(max(a_lo, 0), a_hi + 1):  # D.F = a >= 0
             for b in range(max(b_lo, m * a), b_hi + 1):  # D.Q = b - m*a >= 0

@@ -16,17 +16,19 @@ acts through the finite quotient the generators present).
 
 ell is the largest size of a generator-invariant set of curves that all meet
 Q and are pairwise disjoint.  Invariant sets are unions of orbits, so the
-search runs over orbits: an orbit is admissible when it is internally
-disjoint and every member meets Q, two orbits conflict when some cross pair
-intersects (a bitmask of the curves one orbit meets, ANDed with the other's
-members), and ell is the maximum weight independent set in that conflict
-graph with orbit sizes as weights.  `compute_ell` solves this exactly by
-branch and bound; `brute_force_ell` re-derives it by exhausting all unions of
-orbits and exists purely as a cross-check.  It shares no mask with the
-search: it tabulates, for every subset of each half of the orbits, the union
-U of their members and the union N of the curves those members meet, and
-tests each union of orbits by the two defining conditions, U inside the
-curves that meet Q and U & N == 0, with no pruning.
+search runs over orbits.  Admissibility and conflicts both come from one
+bitmask per curve, its own bit plus the bits of the curves it meets: an
+orbit is admissible when its members miss the curves off Q and each
+member's mask meets the orbit in that member alone, two orbits conflict when
+the OR of one's member masks meets the other's members, and ell is the
+maximum weight independent set in that conflict graph with orbit sizes as
+weights.  `compute_ell` solves this exactly by branch and bound;
+`brute_force_ell` re-derives it by exhausting all unions of orbits and
+exists purely as a cross-check.  It shares no mask with the search: it
+tabulates, for every subset of each half of the orbits, the union U of their
+members and the union N of the curves those members meet, and tests each
+union of orbits by the two defining conditions, U inside the curves that
+meet Q and U & N == 0, with no pruning.
 
 ell never exceeds rank(Pic) - 1: pairwise disjoint (-1)-curves have Gram
 matrix -I, so they span a negative definite subspace, and Pic has signature
@@ -46,7 +48,7 @@ from operator import mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import DivisorClass, SurfaceModel
+from .lattice import DivisorClass, SurfaceModel, integral
 
 BRUTE_FORCE_LIMIT = 24
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -144,8 +146,12 @@ class GaloisAction:
     generators: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "degree", integral("degree", self.degree))
         if self.degree < 1:
             raise ParameterError(f"degree must be >= 1, got {self.degree}")
+        object.__setattr__(self, "generators", tuple(
+            tuple(integral(f"generator {k + 1} image", x) for x in gen)
+            for k, gen in enumerate(self.generators)))
         expected = tuple(range(1, self.degree + 1))
         for k, gen in enumerate(self.generators):
             if tuple(sorted(gen)) != expected:
@@ -230,21 +236,6 @@ class EllResult:
     witness_orbits: tuple[tuple[int, ...], ...]
 
 
-def _admissible_orbits(
-    system: CurveSystem, orbits: tuple[tuple[int, ...], ...]
-) -> list[tuple[int, ...]]:
-    gram = system.pair_gram
-    qinc = system.q_incidence
-    out = []
-    for orb in orbits:
-        if any(qinc[i] < 1 for i in orb):
-            continue
-        if any(gram[i][j] != 0 for i, j in combinations(orb, 2)):
-            continue
-        out.append(orb)
-    return out
-
-
 def _require_valid(system: CurveSystem, action: GaloisAction) -> None:
     report = validate_action(system, action)
     if not report.ok:
@@ -268,17 +259,21 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     deterministic.
     """
     _require_valid(system, action)
-    orbits = orbit_partition(action)
-    cands = sorted(_admissible_orbits(system, orbits), key=lambda o: (-len(o), o))
+    # a curve's mask marks itself (the diagonal is -1) and the curves it meets
+    masks = [int(bytes(map(bool, row)).translate(_BINARY_DIGITS)[::-1], 2)
+             for row in system.pair_gram]
+    off_q = sum(1 << i for i, q in enumerate(system.q_incidence) if q < 1)
+    # admissible: every member meets Q, and no member meets another
+    cands, members = [], []
+    for orb in sorted(orbit_partition(action), key=lambda o: (-len(o), o)):
+        mem = sum(1 << i for i in orb)
+        if not mem & off_q and all(masks[i] & mem == 1 << i for i in orb):
+            cands.append(orb)
+            members.append(mem)
     k = len(cands)
     sizes = [len(o) for o in cands]
-    # two orbits conflict when one meets a member of the other: a curve's
-    # mask marks the curves it meets, an orbit's the curves its members meet
-    gram = system.pair_gram
-    reach = [reduce(or_, (int(bytes(map(bool, gram[i])).translate(_BINARY_DIGITS)[::-1], 2)
-                          for i in o))
-             for o in cands]
-    members = [sum(1 << i for i in o) for o in cands]
+    # two orbits conflict when one meets a member of the other
+    reach = [reduce(or_, (masks[i] for i in o)) for o in cands]
     compat = [sum(1 << j for j, mem in enumerate(members) if not r & mem) for r in reach]
     # the bound is the total size of the orbits still available, counted by size
     by_size: dict[int, int] = {}

@@ -47,8 +47,9 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        coeffs = tuple(int(c) for c in self.coeffs)
-        if any(c != rc for c, rc in zip(self.coeffs, coeffs)):
+        raw = tuple(self.coeffs)
+        coeffs = tuple(map(int, raw))
+        if coeffs != raw:
             raise ParameterError("divisor class coefficients must be integers")
         object.__setattr__(self, "coeffs", coeffs)
 

@@ -100,6 +100,7 @@ class TableRow:
 def anti_plurigenus_table(m: int, n: int, max_j: int) -> tuple[TableRow, ...]:
     """Rows (j, t, c, h^0) for j = 1..max_j.  Refused where K_X^2 <= 0, where
     the Riemann-Roch value is not h^0 (it turns negative)."""
+    max_j = integral("max_j", max_j)
     if max_j < 1:
         raise ParameterError(f"max_j must be >= 1, got {max_j}")
     if not is_del_pezzo(m, n):

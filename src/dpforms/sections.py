@@ -156,7 +156,7 @@ class BinaryForm:
 
 
 def binary_form(coeffs: Iterable[RationalLike]) -> BinaryForm:
-    return BinaryForm(coeffs=tuple(Fraction(c) for c in coeffs))
+    return BinaryForm(coeffs=tuple(coeffs))
 
 
 def _divisors(n: int) -> list[int]:

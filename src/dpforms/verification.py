@@ -385,7 +385,8 @@ def check_ell_engine() -> CheckResult:
     problems: list[str] = []
     checked = 0
 
-    def agree(system: CurveSystem, action: GaloisAction, expect: int | None, label: str) -> None:
+    def agree(system: CurveSystem, action: GaloisAction, expect: int | None,
+              label: str) -> EllResult:
         nonlocal checked
         fast = compute_ell(system, action)
         slow = brute_force_ell(system, action)
@@ -396,10 +397,10 @@ def check_ell_engine() -> CheckResult:
             problems.append(f"{label}: ell = {fast.ell}, expected {expect}")
         if not _witness_ok(system, action, fast) or not _witness_ok(system, action, slow):
             problems.append(f"{label}: witness fails its own definition")
+        return fast
 
     plane2 = standard_curve_system(build_model(2, 6, PLANE))
-    agree(plane2, GaloisAction.trivial(12), 6, "plane m=2 trivial")
-    trivial_result = compute_ell(plane2, GaloisAction.trivial(12))
+    trivial_result = agree(plane2, GaloisAction.trivial(12), 6, "plane m=2 trivial")
     if set(trivial_result.witness) != set(range(6)):
         problems.append(f"plane m=2 trivial witness {trivial_result.witness}")
     swap = GaloisAction(12, ((7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6),))
@@ -413,8 +414,7 @@ def check_ell_engine() -> CheckResult:
     curves += [named["F"] - named[f"E_{i}"] for i in range(1, 8)]
     curves += [named[f"E_{i}"] for i in range(1, 8)]
     system7 = build_curve_system(model7, curves)
-    agree(system7, GaloisAction.trivial(15), 8, "hirzebruch (2,7) trivial")
-    result7 = compute_ell(system7, GaloisAction.trivial(15))
+    result7 = agree(system7, GaloisAction.trivial(15), 8, "hirzebruch (2,7) trivial")
     if set(result7.witness) != set(range(8)):
         problems.append(f"hirzebruch (2,7) witness {result7.witness}")
 

@@ -321,7 +321,11 @@ def test_ell_instance_rejections(tmp_path, capsys):
         )
     )
     code, _, err = _capture(capsys, ["ell", "--instance", str(invalid)])
-    assert code == 1 and "intersection form" in err
+    assert code == 1 and "intersection form (4 violations)" in err
+    # the report shows the first three violations and counts the rest
+    lines = err.splitlines()
+    assert len(lines) == 5 and lines[-1] == "  (+1 more)"
+    assert all(line.startswith("  generator 1: ") for line in lines[1:4])
 
     code, _, err = _capture(capsys, ["ell", "--instance", str(tmp_path / "missing.json")])
     assert code == 1

@@ -13,6 +13,7 @@ from dpforms import (
     PLANE_DEGREE,
     Q_SECTION,
     HIRZEBRUCH,
+    ParameterError,
     SearchBox,
     UnsupportedModelError,
     brute_force_minus_one_classes,
@@ -341,3 +342,10 @@ def test_search_box_geometry():
     box = SearchBox(((0, 1), (-1, 1)))
     grown = box.enlarged(2)
     assert grown.intervals == ((-2, 3), (-3, 3))
+    assert SearchBox(((0.0, 1), (-1, 1.0))) == box
+    # bounds are refused, not truncated: a half pad does not quietly become 0
+    for bad in (((0, 2.5),), (("1", 2),), ((0, True),)):
+        with pytest.raises(ParameterError, match="search box bound must be an integer"):
+            SearchBox(bad)
+    with pytest.raises(ParameterError):
+        minus_one_census(build_model(4, 9), 0.5)

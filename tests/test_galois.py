@@ -81,6 +81,19 @@ def test_action_validation():
     assert action.generators == ((2, 3, 1),)
     assert GaloisAction.trivial(2).generators == ()
     assert GaloisAction.trivial(2).degree == 2
+    # integral floats are read as integers; other values are refused, True included
+    assert GaloisAction(2.0, ()) == GaloisAction.trivial(2)
+    assert GaloisAction(3, ((2.0, 3, 1),)) == action
+    for bad in (2.5, "2", True):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            GaloisAction(3, ((bad, 3, 1),))
+    with pytest.raises(ParameterError, match="must be an integer"):
+        GaloisAction(2.5, ())
+    system = _plane_system()
+    swap = (7, 8, 9, 10, 11, 12, 1, 2, 3, 4, 5, 6)
+    floats = GaloisAction(12, ((7.0,) + swap[1:],))
+    for solve in (compute_ell, brute_force_ell):
+        assert solve(system, floats) == solve(system, GaloisAction(12, (swap,)))
 
 
 def test_orbit_partition():
@@ -143,6 +156,19 @@ def test_structured_hirzebruch_m_plus_5():
     assert result.ell == 8
     assert result.witness == (0, 1, 2, 3, 4, 5, 6, 7)
     assert brute_force_ell(system, GaloisAction.trivial(15)).ell == 8
+
+
+def test_curves_off_q_never_count():
+    # E_1..E_7 miss Q and are pairwise disjoint, so they would outweigh
+    # F - E_1, the one curve meeting Q, if they were admissible
+    model = build_model(2, 7)
+    named = model.distinguished
+    system = build_curve_system(
+        model, [named[f"E_{i}"] for i in range(1, 8)] + [named["F"] - named["E_1"]])
+    for action in (GaloisAction.trivial(8), GaloisAction(8, ((1, 3, 2, 4, 5, 6, 7, 8),))):
+        result = compute_ell(system, action)
+        assert result == brute_force_ell(system, action)
+        assert result.ell == 1 and result.witness == (7,)
 
 
 def test_window_system_reaches_theoretical_maximum():

@@ -165,6 +165,15 @@ def test_divisor_length_checked():
         model.divisor((1, 2, 3))
 
 
+def test_divisor_coefficients_integral():
+    model = build_model(2, 1)
+    coeffs = model.divisor((2.0, True, -1)).coeffs
+    assert coeffs == (2, 1, -1) and all(type(x) is int for x in coeffs)
+    for bad in ((2.5, 0, 0), ("3", 0, 0)):
+        with pytest.raises(ParameterError, match="must be integers"):
+            model.divisor(bad)
+
+
 def test_parameter_validation():
     with pytest.raises(ParameterError):
         build_model(1, 3)

@@ -101,6 +101,9 @@ def test_parameter_validation():
         h0_anti_plurigenus(2, 9, 1)
     with pytest.raises(ParameterError):
         anti_plurigenus_table(3, 7, 0)
+    with pytest.raises(ParameterError, match="max_j must be an integer"):
+        anti_plurigenus_table(3, 7, 2.5)
+    assert anti_plurigenus_table(3, 7, 2.0) == anti_plurigenus_table(3, 7, 2)
     with pytest.raises(ParameterError):
         embedding_descriptor(1)
 
