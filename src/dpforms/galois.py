@@ -4,11 +4,9 @@ A curve system indexes a finite list of (-1)-classes on one surface model and
 caches their pairwise intersections together with each curve's intersection
 number against the negative section Q.  Each curve is lowered once to its dual
 row ``SurfaceModel.dual``, which checks its basis, and every pairing is that
-row times a raw coefficient vector.  Rows come by Kronecker substitution (von
-zur Gathen & Gerhard, *Modern Computer Algebra*, 8.4): coordinate k of all N
-vectors packs into one integer, a W-byte digit per curve, so a row is one
-short sum of big integers read back as W-byte words.  Coefficients of about
-2^28 and up, whose pairings may pass 8 bytes, take a dot product per pair.
+row times a raw coefficient vector; the whole Gram table is one call of
+`lattice._products`, which packs the coefficient vectors by Kronecker
+substitution.
 
 A Galois action is given by finitely many generators, each a permutation of
 the curve indices written as a 1-based image list (an infinite Galois group
@@ -40,7 +38,6 @@ Curve indices inside this module are 0-based positions into
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
@@ -48,34 +45,10 @@ from operator import mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import DivisorClass, SurfaceModel, integral
+from .lattice import DivisorClass, SurfaceModel, _products, integral
 
 BRUTE_FORCE_LIMIT = 24
 _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
-
-
-def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
-    """The table of ``sum(map(mul, d, w))`` for d in lefts and w in rights, by
-    Kronecker substitution in the least W of 1, 2, 4, 8 bytes that holds every
-    entry as a signed digit; past 8 bytes, by one dot product per entry."""
-    tops = [max(map(abs, col)) for col in zip(*rights)]
-    bound = max(sum(map(mul, map(abs, d), tops)) for d in lefts)
-    width = next((w for w in (1, 2, 4, 8) if bound < 1 << (8 * w - 1)), 0)
-    if not width:
-        return tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
-    shift, n = 8 * width, len(rights)
-    # a big-endian host reads the words of to_bytes last digit first
-    ordered = rights if sys.byteorder == "little" else rights[::-1]
-    packed = [reduce(lambda acc, x: (acc << shift) + x, reversed(col), 0)
-              for col in zip(*ordered)]
-    # +2^(8W-1) per digit leaves none negative; the XOR makes W-byte two's complements
-    bias = int.from_bytes((b"\x80" + bytes(width - 1)) * n, "big")
-    code = "bhiq"[width.bit_length() - 1]
-    return tuple(
-        tuple(memoryview(((sum(map(mul, d, packed)) + bias) ^ bias)
-                         .to_bytes(n * width, sys.byteorder)).cast(code))
-        for d in lefts
-    )
 
 
 @dataclass(frozen=True)

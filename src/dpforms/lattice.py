@@ -18,13 +18,21 @@ negative section Q.  Two integral bases for Pic(Y) are supported:
 Coefficient order in every serialized class matches the basis order above.
 All arithmetic is exact: integer coefficient vectors, Fraction-valued
 invariants, no floating point anywhere in this module.
+
+Bulk pairings of dual rows (``SurfaceModel.dual``) with coefficient vectors go
+through `_products`, by Kronecker substitution (von zur Gathen & Gerhard,
+*Modern Computer Algebra*, 8.4): coordinate k of all N vectors packs into one
+integer, a W-byte digit per vector, so a row of pairings is one short sum of
+big integers read back as W-byte words; entries that may pass 8 bytes
+(coefficients of about 2^28 and up) take a dot product each.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
 from operator import mul
 
@@ -181,6 +189,30 @@ class SurfaceModel:
         return named
 
 
+def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
+    """The table of ``sum(map(mul, d, w))`` for d in lefts and w in rights, by
+    Kronecker substitution in the least W of 1, 2, 4, 8 bytes that holds every
+    entry as a signed digit; past 8 bytes, by one dot product per entry."""
+    tops = [max(map(abs, col)) for col in zip(*rights)]
+    bound = max(sum(map(mul, map(abs, d), tops)) for d in lefts)
+    width = next((w for w in (1, 2, 4, 8) if bound < 1 << (8 * w - 1)), 0)
+    if not width:
+        return tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
+    shift, n = 8 * width, len(rights)
+    # a big-endian host reads the words of to_bytes last digit first
+    ordered = rights if sys.byteorder == "little" else rights[::-1]
+    packed = [reduce(lambda acc, x: (acc << shift) + x, reversed(col), 0)
+              for col in zip(*ordered)]
+    # +2^(8W-1) per digit leaves none negative; the XOR makes W-byte two's complements
+    bias = int.from_bytes((b"\x80" + bytes(width - 1)) * n, "big")
+    code = "bhiq"[width.bit_length() - 1]
+    return tuple(
+        tuple(memoryview(((sum(map(mul, d, packed)) + bias) ^ bias)
+                         .to_bytes(n * width, sys.byteorder)).cast(code))
+        for d in lefts
+    )
+
+
 def integral(name: str, value) -> int:
     """value as an int, refused unless it is one: 3 and 3.0 pass, 3.5, "3"
     and True do not."""
@@ -238,8 +270,10 @@ def _pivots(gram) -> list[Fraction]:
     """Diagonal of an exact symmetric congruence diagonalization over Fraction.
 
     A row and column that are already zero are skipped and contribute a 0
-    pivot.  Every step (swap, fold, elimination) is a congruence by a matrix
-    of determinant +-1, so the determinant is the product of the pivots.
+    pivot, and a zero entry below a pivot is skipped before any division, so
+    a nearly diagonal matrix costs few Fraction operations.  Every step
+    (swap, fold, elimination) is a congruence by a matrix of determinant
+    +-1, so the determinant is the product of the pivots.
     """
     a = [[Fraction(x) for x in row] for row in gram]
     r = len(a)
@@ -271,9 +305,9 @@ def _pivots(gram) -> list[Fraction]:
         d = a[k][k]
         pivots.append(d)
         for i in range(k + 1, r):
-            f = a[i][k] / d
-            if f == 0:
+            if not a[i][k]:
                 continue
+            f = a[i][k] / d
             for j in range(r):
                 a[i][j] -= f * a[k][j]
             for i2 in range(r):

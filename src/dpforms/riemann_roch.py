@@ -12,8 +12,9 @@ The t = 0 branch is genuinely needed: for m = 2 every correction vanishes
 (t is always 0), and for m = 4 the nonzero residue t = 2 also evaluates to 0,
 so generic-looking closed forms that assume t != 0 fail exactly there.
 
-All values are exact Fractions; h^0 must come out a non-negative integer and
-anything else raises InternalInvariantError.
+h^0 is exact integer arithmetic: 2m * chi = 2m + j(j+1)((8-n)m + (m-2)^2) + 2m c
+must divide by 2m into a non-negative quotient, and anything else raises
+InternalInvariantError.  Fractions remain only for the reported correction c.
 """
 
 from __future__ import annotations
@@ -25,22 +26,30 @@ from .errors import InternalInvariantError, ParameterError
 from .lattice import check_mn, integral, is_del_pezzo, k_squared_singular
 
 
-def correction_residue(m: int, j: int) -> int:
-    """The residue t = -2j mod m, normalized to 0 <= t <= m-1."""
-    m, _ = check_mn(m)
+def _nonnegative_j(j) -> int:
     j = integral("j", j)
     if j < 0:
         raise ParameterError(f"j must be >= 0, got {j}")
-    return (-2 * j) % m
+    return j
+
+
+def correction_residue(m: int, j: int) -> int:
+    """The residue t = -2j mod m, normalized to 0 <= t <= m-1."""
+    m, _ = check_mn(m)
+    return (-2 * _nonnegative_j(j)) % m
+
+
+def _scaled_correction(m: int, t: int) -> int:
+    """2m * c for the residue t: the correction over the common denominator 2m."""
+    if t == 0:
+        return 0
+    return (m - t + 1) * (t - 1) - (m - 1)
 
 
 def correction_term(m: int, j: int) -> Fraction:
     """Correction to chi(-jK) from the (1/m)(1,1) point.  Periodic: c(m, j) = c(m, j+m)."""
     m, _ = check_mn(m)
-    t = correction_residue(m, j)
-    if t == 0:
-        return Fraction(0)
-    return Fraction(-(m - 1), 2 * m) + Fraction((m - t + 1) * (t - 1), 2 * m)
+    return Fraction(_scaled_correction(m, correction_residue(m, j)), 2 * m)
 
 
 def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
@@ -51,13 +60,16 @@ def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
     raises InternalInvariantError rather than rounding.
     """
     m, n = check_mn(m, n)
-    j = integral("j", j)
-    value = 1 + Fraction(j * (j + 1), 2) * k_squared_singular(m, n) + correction_term(m, j)
-    if value.denominator != 1:
+    j = _nonnegative_j(j)
+    scale = 2 * m
+    scaled = (scale + j * (j + 1) * ((8 - n) * m + (m - 2) ** 2)
+              + _scaled_correction(m, (-2 * j) % m))
+    h0, rest = divmod(scaled, scale)
+    if rest:
         raise InternalInvariantError(
-            f"anti-plurigenus chi(m={m}, n={n}, j={j}) = {value} is not an integer"
+            f"anti-plurigenus chi(m={m}, n={n}, j={j}) = {Fraction(scaled, scale)} "
+            "is not an integer"
         )
-    h0 = int(value)
     if h0 < 0:
         raise InternalInvariantError(
             f"anti-plurigenus chi(m={m}, n={n}, j={j}) = {h0} is negative"

@@ -43,6 +43,7 @@ from .galois import (
 from .lattice import (
     HIRZEBRUCH,
     PLANE,
+    _products,
     build_model,
     is_del_pezzo,
     is_unimodular,
@@ -98,33 +99,38 @@ def check_plane_census() -> CheckResult:
         model = build_model(m, m + 4, PLANE)
         named = model.distinguished
         q = named["Q"]
+        e = [named[f"E_{i}"] for i in range(1, m + 5)]
+        ep = [named[f"E_{i}'"] for i in range(1, m + 5)]
         census = brute_force_minus_one_classes(model)
-        meeting = [c for c in census if model.intersect(c, q) >= 1]
+        # one row each for Q, E_1..E_{m+4}, E_1'..E_{m+4}': its pairings with the census
+        table = _products([model.dual(w) for w in [q, *e, *ep]], [c.coeffs for c in census])
+        q_row, e_rows, ep_rows = table[0], table[1 : m + 5], table[m + 5 :]
+        meeting = [c for c, x in zip(census, q_row) if x >= 1]
         if len(meeting) != 2 * m + 8:
             problems.append(f"m={m}: {len(meeting)} Q-meeting classes, expected {2 * m + 8}")
         meeting_set = {c.coeffs for c in meeting}
-        e = [named[f"E_{i}"] for i in range(1, m + 5)]
-        ep = [named[f"E_{i}'"] for i in range(1, m + 5)]
+        cross = _products([model.dual(x) for x in e], [x.coeffs for x in ep])
         for i in range(m + 4):
             if e[i].coeffs not in meeting_set or ep[i].coeffs not in meeting_set:
                 problems.append(f"m={m}: distinguished pair {i + 1} missing from census")
             for j in range(m + 4):
                 want = 1 if i == j else 0
-                if model.intersect(e[i], ep[j]) != want:
+                if cross[i][j] != want:
                     problems.append(f"m={m}: E_{i + 1}.E_{j + 1}' != {want}")
                 checked += 1
-        avoiding = [c for c in census if model.intersect(c, q) == 0]
+        avoiding = [k for k, x in enumerate(q_row) if x == 0]
         closed_avoiding = [
             c for fam in closed_form_minus_one_classes(model) if fam.label == PLANE_DEGREE
             for c in fam.members
         ]
-        if sorted(c.coeffs for c in avoiding) != sorted(c.coeffs for c in closed_avoiding):
+        if sorted(census[k].coeffs for k in avoiding) != sorted(c.coeffs for c in closed_avoiding):
             problems.append(f"m={m}: Q-avoiding search disagrees with closed form")
         expected = sum(comb(m + 4, 2 * d) for d in range(m // 2 + 3))
         if len(avoiding) != expected:
             problems.append(f"m={m}: {len(avoiding)} Q-avoiding classes, expected {expected}")
         checked += 1
-        for c in avoiding:
+        for k in avoiding:
+            c = census[k]
             d = c.coeffs[0]
             middles = c.coeffs[1 : m + 5]
             if c.coeffs[m + 5] != -(d - 1):
@@ -132,7 +138,7 @@ def check_plane_census() -> CheckResult:
             if sorted(set(middles) - {0, -1}) or middles.count(-1) != 2 * d:
                 problems.append(f"m={m}: class {c.coeffs} is not a 2d-subset class")
             for i in range(m + 4):
-                if model.intersect(c, e[i]) + model.intersect(c, ep[i]) != 1:
+                if e_rows[i][k] + ep_rows[i][k] != 1:
                     problems.append(f"m={m}: class {c.coeffs} breaks E.(E_i + E_i') = 1")
             checked += 1
     if sum(comb(6, 2 * d) for d in range(4)) != 32:
@@ -154,10 +160,10 @@ def check_incidence_law() -> CheckResult:
             problems.append(f"m={m}: -K - Q - E_0 is nonzero")
         if e0.coeffs not in {c.coeffs for c in census}:
             problems.append(f"m={m}: E_0 missing from the census window")
-        for c in census:
+        pairs = zip(*_products([model.dual(e0), model.dual(q)], [c.coeffs for c in census]))
+        for c, pair in zip(census, pairs):
             if c.coeffs == e0.coeffs:
                 continue
-            pair = (model.intersect(c, e0), model.intersect(c, q))
             checked += 1
             if pair not in ((1, 0), (0, 1)):
                 problems.append(f"m={m}: class {c.coeffs} has (E.E_0, E.Q) = {pair}")

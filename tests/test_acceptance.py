@@ -10,6 +10,7 @@ enforced where the criterion gives one.
 
 import time
 
+from dpforms import verification
 from dpforms.verification import (
     check_anti_plurigenus,
     check_census_equivalence,
@@ -73,3 +74,31 @@ def test_criterion_8_sections():
 
 def test_criterion_9_lattice_hygiene():
     _run(check_lattice)
+
+
+def test_census_checks_fail_on_corrupted_input(monkeypatch):
+    census = verification.brute_force_minus_one_classes
+    h0 = verification.h0_anti_plurigenus
+
+    def drop_one_meeting(model, box=None):
+        classes = census(model, box)
+        q = model.distinguished["Q"]
+        k = next(i for i, c in enumerate(classes) if model.intersect(c, q) >= 1)
+        return classes[:k] + classes[k + 1:]
+
+    def add_fiber(model, box=None):
+        return census(model, box) + (model.distinguished["F"],)
+
+    monkeypatch.setattr(verification, "brute_force_minus_one_classes", drop_one_meeting)
+    result = check_plane_census()
+    assert not result.passed and "Q-meeting classes, expected" in result.detail
+
+    # F.E_0 = F.Q = 1
+    monkeypatch.setattr(verification, "brute_force_minus_one_classes", add_fiber)
+    result = check_incidence_law()
+    assert not result.passed and "(E.E_0, E.Q) = (1, 1)" in result.detail
+
+    monkeypatch.setattr(verification, "brute_force_minus_one_classes", census)
+    monkeypatch.setattr(verification, "h0_anti_plurigenus", lambda m, n, j: h0(m, n, j) + 1)
+    result = check_anti_plurigenus()
+    assert not result.passed and "h0(-K) != 2 at m=3" in result.detail

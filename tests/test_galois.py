@@ -29,7 +29,7 @@ from dpforms import (
     standard_curve_system,
     validate_action,
 )
-from dpforms.galois import _products
+from dpforms.lattice import _products
 from dpforms.verification import _random_plane_action
 
 

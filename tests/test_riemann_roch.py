@@ -12,6 +12,7 @@ from dpforms import (
     correction_term,
     embedding_descriptor,
     h0_anti_plurigenus,
+    k_squared_singular,
 )
 from dpforms.verification import embedded_h0, weighted_monomial_count
 
@@ -111,3 +112,21 @@ def test_parameter_validation():
 def test_invariant_guard_fires_outside_range():
     with pytest.raises(InternalInvariantError):
         h0_anti_plurigenus(12, 17, 3)
+
+
+def test_integer_h0_equals_the_fraction_formula():
+    # the guard fires on the cells outside the del Pezzo range, e.g. (12, 17, 3)
+    fired = 0
+    for m in range(2, 31):
+        for n in range(1, m + 6):
+            for j in range(41):
+                value = (1 + Fraction(j * (j + 1), 2) * k_squared_singular(m, n)
+                         + correction_term(m, j))
+                if value.denominator == 1 and value >= 0:
+                    got = h0_anti_plurigenus(m, n, j)
+                    assert type(got) is int and got == value, (m, n, j)
+                    continue
+                fired += 1
+                with pytest.raises(InternalInvariantError, match=f"= {value} is"):
+                    h0_anti_plurigenus(m, n, j)
+    assert fired
