@@ -5,97 +5,45 @@ Picard-lattice arithmetic for the two blow-up models, censuses of
 anti-plurigenus tables, the Galois invariant ell with branch-and-bound
 and exhaustive solvers, the rationality/cylindricity decision table,
 and exact analysis of hyperplane-section splitting.
+
+The public names are declared once, in ``_EXPORTS``, which maps each
+library module to the names it exports.  Every name is bound at import, so
+``import dpforms`` loads all eight library modules; ``__all__`` is those
+names and ``run`` in sorted order, then ``__version__``.  ``run`` alone is
+bound on first use, since it loads the CLI and argparse.
 """
 
-from .curves import (
-    DELTA,
-    EXCEPTIONAL,
-    FIBER_RESIDUAL,
-    PLANE_DEGREE,
-    Q_SECTION,
-    CurveFamily,
-    SearchBox,
-    brute_force_minus_one_classes,
-    closed_form_minus_one_classes,
-    curves_meeting_q,
-    default_search_box,
-    delta_class,
-    distinguished_e0,
-    family_classes,
-    minus_one_census,
-)
-from .errors import (
-    BasisMismatchError,
-    InfeasibleEllError,
-    InputFormatError,
-    InternalInvariantError,
-    InvalidActionError,
-    ParameterError,
-    SystemSizeError,
-    ToolkitError,
-    UnsupportedModelError,
-)
-from .galois import (
-    BRUTE_FORCE_LIMIT,
-    CurveSystem,
-    EllResult,
-    GaloisAction,
-    ValidationReport,
-    brute_force_ell,
-    build_curve_system,
-    compute_ell,
-    orbit_partition,
-    standard_curve_system,
-    validate_action,
-)
-from .lattice import (
-    HIRZEBRUCH,
-    PLANE,
-    DivisorClass,
-    SurfaceModel,
-    build_model,
-    gram_determinant,
-    is_del_pezzo,
-    is_unimodular,
-    k_squared_singular,
-    lattice_signature,
-    signature_of,
-)
-from .riemann_roch import (
-    EmbeddingDescriptor,
-    TableRow,
-    anti_plurigenus_table,
-    correction_residue,
-    correction_term,
-    embedding_descriptor,
-    h0_anti_plurigenus,
-)
-from .sections import (
-    BinaryForm,
-    Factorization,
-    LineCensus,
-    SplitValue,
-    UnivariatePoly,
-    binary_form,
-    ci_split_polynomial,
-    factor_over_rationals,
-    is_rational_square,
-    line_census,
-    poly,
-    poly_text,
-    rational_roots,
-)
-from .verdicts import (
-    TriState,
-    Verdict,
-    classify,
-    feasible_ell,
-    parse_tristate,
-    q_point_forced,
-)
-from .verification import CheckResult, run_all
+from importlib import import_module
+
+_EXPORTS = {
+    "curves": "DELTA EXCEPTIONAL FIBER_RESIDUAL PLANE_DEGREE Q_SECTION CurveFamily SearchBox "
+              "brute_force_minus_one_classes closed_form_minus_one_classes curves_meeting_q "
+              "default_search_box delta_class distinguished_e0 family_classes minus_one_census",
+    "errors": "BasisMismatchError InfeasibleEllError InputFormatError InternalInvariantError "
+              "InvalidActionError ParameterError SystemSizeError ToolkitError "
+              "UnsupportedModelError",
+    "galois": "BRUTE_FORCE_LIMIT CurveSystem EllResult GaloisAction ValidationReport "
+              "brute_force_ell build_curve_system compute_ell orbit_partition "
+              "standard_curve_system validate_action",
+    "lattice": "HIRZEBRUCH PLANE DivisorClass SurfaceModel build_model gram_determinant "
+               "is_del_pezzo is_unimodular k_squared_singular lattice_signature signature_of",
+    "riemann_roch": "EmbeddingDescriptor TableRow anti_plurigenus_table correction_residue "
+                    "correction_term embedding_descriptor h0_anti_plurigenus",
+    "sections": "BinaryForm Factorization LineCensus SplitValue UnivariatePoly binary_form "
+                "ci_split_polynomial factor_over_rationals is_rational_square line_census poly "
+                "poly_text rational_roots",
+    "verdicts": "TriState Verdict classify feasible_ell parse_tristate q_point_forced",
+    "verification": "CheckResult run_all",
+}
+
+for _module, _names in _EXPORTS.items():
+    _loaded = import_module(f".{_module}", __name__)
+    globals().update({name: getattr(_loaded, name) for name in _names.split()})
+del _module, _names, _loaded
 
 __version__ = "0.1.0"
+__all__ = sorted([name for names in _EXPORTS.values() for name in names.split()] + ["run"])
+__all__.append("__version__")
 
 
 def __getattr__(name: str):  # `run` loads the CLI and argparse on first use
@@ -103,82 +51,3 @@ def __getattr__(name: str):  # `run` loads the CLI and argparse on first use
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from .cli import run
     return run
-
-__all__ = [
-    "BRUTE_FORCE_LIMIT",
-    "BasisMismatchError",
-    "BinaryForm",
-    "CheckResult",
-    "CurveFamily",
-    "CurveSystem",
-    "DELTA",
-    "DivisorClass",
-    "EXCEPTIONAL",
-    "EllResult",
-    "EmbeddingDescriptor",
-    "FIBER_RESIDUAL",
-    "Factorization",
-    "GaloisAction",
-    "HIRZEBRUCH",
-    "InfeasibleEllError",
-    "InputFormatError",
-    "InternalInvariantError",
-    "InvalidActionError",
-    "LineCensus",
-    "PLANE",
-    "PLANE_DEGREE",
-    "ParameterError",
-    "Q_SECTION",
-    "SearchBox",
-    "SplitValue",
-    "SurfaceModel",
-    "SystemSizeError",
-    "TableRow",
-    "ToolkitError",
-    "TriState",
-    "UnivariatePoly",
-    "UnsupportedModelError",
-    "ValidationReport",
-    "Verdict",
-    "anti_plurigenus_table",
-    "binary_form",
-    "brute_force_ell",
-    "brute_force_minus_one_classes",
-    "build_curve_system",
-    "build_model",
-    "ci_split_polynomial",
-    "classify",
-    "closed_form_minus_one_classes",
-    "compute_ell",
-    "correction_residue",
-    "correction_term",
-    "curves_meeting_q",
-    "default_search_box",
-    "delta_class",
-    "distinguished_e0",
-    "embedding_descriptor",
-    "factor_over_rationals",
-    "family_classes",
-    "feasible_ell",
-    "gram_determinant",
-    "h0_anti_plurigenus",
-    "is_del_pezzo",
-    "is_rational_square",
-    "is_unimodular",
-    "k_squared_singular",
-    "lattice_signature",
-    "line_census",
-    "minus_one_census",
-    "orbit_partition",
-    "parse_tristate",
-    "poly",
-    "poly_text",
-    "q_point_forced",
-    "rational_roots",
-    "run",
-    "run_all",
-    "signature_of",
-    "standard_curve_system",
-    "validate_action",
-    "__version__",
-]

@@ -40,7 +40,7 @@ from .galois import (
 )
 from .lattice import (
     HIRZEBRUCH,
-    PLANE,
+    KINDS,
     build_model,
     gram_determinant,
     is_del_pezzo,
@@ -540,14 +540,14 @@ def _build_parser() -> argparse.ArgumentParser:
     lattice = sub.add_parser("lattice", help="model summary and lattice invariants")
     lattice.add_argument("--m", type=int, required=True, help=f"at most {MAX_M}")
     lattice.add_argument("--n", type=int, required=True)
-    lattice.add_argument("--kind", choices=(HIRZEBRUCH, PLANE), default=HIRZEBRUCH)
+    lattice.add_argument("--kind", choices=KINDS, default=HIRZEBRUCH)
     lattice.set_defaults(handler=_cmd_lattice, show=_show_lattice)
 
     curves = sub.add_parser("curves", help="census of (-1)-curve classes")
     curves.add_argument("--m", type=int, required=True,
                         help=f"at most {MAX_M}, and at most {MAX_CENSUS_M} if n >= m+4")
     curves.add_argument("--n", type=int, required=True)
-    curves.add_argument("--kind", choices=(HIRZEBRUCH, PLANE), default=HIRZEBRUCH)
+    curves.add_argument("--kind", choices=KINDS, default=HIRZEBRUCH)
     curves.add_argument("--meeting-q", action="store_true",
                         help="restrict to classes with positive Q-intersection")
     curves.add_argument("--bound", type=int, default=0,

@@ -34,7 +34,7 @@ from math import isqrt
 from operator import mul
 
 from .errors import ParameterError, UnsupportedModelError
-from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel, integral, is_del_pezzo
+from .lattice import HIRZEBRUCH, DivisorClass, SurfaceModel, _m_k_squared, integral, is_del_pezzo
 
 EXCEPTIONAL = "exceptional"
 FIBER_RESIDUAL = "fiber_residual"
@@ -179,48 +179,50 @@ def _blocks(size, total, squares, lo, hi):
     from above, so interval arithmetic on the sum and the squares plus
     Cauchy-Schwarz prune every branch that cannot close."""
     out: list[tuple[int, ...]] = []
-    cur: list[int] = []
-
-    def extend(left: int, total: int, squares: int, top: int) -> None:
-        if left == 0:
-            out.append(tuple(cur))
-            return
-        rest = left - 1
-        for v in range(top, lo - 1, -1):
-            t, s = total - v, squares - v * v
-            # the rest lies in [lo, v] with lo <= v <= 0
-            if (rest * lo <= t <= rest * v and rest * v * v <= s <= rest * lo * lo
-                    and t * t <= rest * s):
-                cur.append(v)
-                extend(rest, t, s, v)
-                cur.pop()
-
-    extend(size, total, squares, min(hi, 0))
+    _extend(out, [], lo, size, total, squares, min(hi, 0))
     return out
+
+
+def _extend(out, cur, lo, left, total, squares, top) -> None:
+    """Append to out each completion of the prefix cur by `left` entries in
+    [lo, top], nonincreasing, with the given sum and sum of squares."""
+    if left == 0:
+        out.append(tuple(cur))
+        return
+    rest = left - 1
+    for v in range(top, lo - 1, -1):
+        t, s = total - v, squares - v * v
+        # the rest lies in [lo, v] with lo <= v <= 0
+        if (rest * lo <= t <= rest * v and rest * v * v <= s <= rest * lo * lo
+                and t * t <= rest * s):
+            cur.append(v)
+            _extend(out, cur, lo, rest, t, s, v)
+            cur.pop()
 
 
 def _orderings(block, intervals):
     """The distinct orderings of the multiset `block` whose i-th entry lies in intervals[i]."""
     values = sorted(set(block))
-    counts = [block.count(v) for v in values]
     out: list[tuple[int, ...]] = []
-    cur: list[int] = []
-
-    def place(i: int) -> None:
-        if i == len(intervals):
-            out.append(tuple(cur))
-            return
-        lo, hi = intervals[i]
-        for k, v in enumerate(values):
-            if counts[k] and lo <= v <= hi:
-                counts[k] -= 1
-                cur.append(v)
-                place(i + 1)
-                cur.pop()
-                counts[k] += 1
-
-    place(0)
+    _place(out, [], values, [block.count(v) for v in values], intervals)
     return out
+
+
+def _place(out, cur, values, counts, intervals) -> None:
+    """Append to out each completion of the prefix cur that spends counts[k]
+    more copies of values[k], entry i in intervals[i]."""
+    i = len(cur)
+    if i == len(intervals):
+        out.append(tuple(cur))
+        return
+    lo, hi = intervals[i]
+    for k, v in enumerate(values):
+        if counts[k] and lo <= v <= hi:
+            counts[k] -= 1
+            cur.append(v)
+            _place(out, cur, values, counts, intervals)
+            cur.pop()
+            counts[k] += 1
 
 
 def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
@@ -292,7 +294,7 @@ def _complete_box(model: SurfaceModel) -> SearchBox:
         # the largest d with (2d - 1)^2 <= 2(m+4)d; then u <= d and q <= 2d
         d = (2 * m + 12 + isqrt((2 * m + 12) ** 2 - 16)) // 8
         return SearchBox(((0, d),) + ((-isqrt(2 * d), 1),) * (m + 4) + ((-d, 1),))
-    big_a, big_b = (m + 2) ** 2 - n * m, 4 * m + 8 - 2 * n
+    big_a, big_b = _m_k_squared(m, n), 4 * m + 8 - 2 * n
     heads, a = [], 0
     while True:
         p, r = big_b * a - 4, big_a * a * a - 2 * (m + 2) * a - (n - 1)

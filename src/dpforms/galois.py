@@ -252,30 +252,31 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     by_size: dict[int, int] = {}
     for i, size in enumerate(sizes):
         by_size[size] = by_size.get(size, 0) | 1 << i
-    groups = tuple(by_size.items())
 
-    cap = system.model.rank - 1
-    best_weight = 0
-    best_choice: tuple[int, ...] = ()
-
-    def walk(avail: int, weight: int, chosen: tuple[int, ...]) -> None:
-        nonlocal best_weight, best_choice
-        if weight > best_weight:
-            best_weight = weight
-            best_choice = chosen
-        remaining = sum(size * (avail & mask).bit_count() for size, mask in groups)
-        while avail:
-            if min(weight + remaining, cap) <= best_weight:
-                return
-            i = (avail & -avail).bit_length() - 1
-            avail &= avail - 1
-            walk(avail & compat[i], weight + sizes[i], chosen + (i,))
-            remaining -= sizes[i]
-
-    walk((1 << k) - 1, 0, ())
+    best_weight, best_choice = _walk((1 << k) - 1, 0, (), (0, ()), compat, sizes,
+                                     tuple(by_size.items()), system.model.rank - 1)
     picked = tuple(cands[i] for i in sorted(best_choice, key=lambda i: cands[i]))
     witness = tuple(sorted(i for orb in picked for i in orb))
     return EllResult(ell=best_weight, witness=witness, witness_orbits=picked)
+
+
+def _walk(avail, weight, chosen, best, compat, sizes, groups, cap) -> tuple[int, tuple[int, ...]]:
+    """The best (weight, choice) of `compute_ell`'s search below one branch:
+    best, unless a choice that extends `chosen` by orbits in `avail`, taken
+    lowest index first, weighs more.  groups pairs each orbit size with the
+    mask of the orbits of that size; cap bounds every weight."""
+    if weight > best[0]:
+        best = (weight, chosen)
+    remaining = sum(size * (avail & mask).bit_count() for size, mask in groups)
+    while avail:
+        if min(weight + remaining, cap) <= best[0]:
+            return best
+        i = (avail & -avail).bit_length() - 1
+        avail &= avail - 1
+        best = _walk(avail & compat[i], weight + sizes[i], chosen + (i,), best,
+                     compat, sizes, groups, cap)
+        remaining -= sizes[i]
+    return best
 
 
 def _subset_unions(masks: list[int]) -> list[int]:

@@ -56,10 +56,14 @@ class DivisorClass:
 
     def __post_init__(self) -> None:
         raw = tuple(self.coeffs)
-        coeffs = tuple(map(int, raw))
-        if coeffs != raw:
-            raise ParameterError("divisor class coefficients must be integers")
-        object.__setattr__(self, "coeffs", coeffs)
+        # one pass over the types when every coefficient is an int; else an
+        # integral value (2.0) is converted and a bool, 2.5 or "2" refused
+        if {*map(type, raw)} != {int}:
+            coeffs = tuple(map(int, raw))
+            if coeffs != raw or bool in map(type, raw):
+                raise ParameterError("divisor class coefficients must be integers")
+            raw = coeffs
+        object.__setattr__(self, "coeffs", raw)
 
     def _matched(self, other: "DivisorClass") -> None:
         if self.basis != other.basis:
@@ -213,6 +217,11 @@ def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
     )
 
 
+def _m_k_squared(m: int, n: int) -> int:
+    """m K_X^2 = (m+2)^2 - nm, an integer: K_X^2 = 8 - n + (m-2)^2/m."""
+    return (m + 2) ** 2 - n * m
+
+
 def integral(name: str, value) -> int:
     """value as an int, refused unless it is one: 3 and 3.0 pass, 3.5, "3"
     and True do not."""
@@ -257,13 +266,14 @@ def k_squared_singular(m: int, n: int) -> Fraction:
     Exact value 8 - n + (m-2)^2/m.  For n = m+4 this collapses to 4/m.
     """
     m, n = check_mn(m, n)
-    return Fraction(8 - n) + Fraction((m - 2) ** 2, m)
+    return Fraction(_m_k_squared(m, n), m)
 
 
 def is_del_pezzo(m: int, n: int) -> bool:
     """Whether the contracted surface is del Pezzo, K_X^2 > 0: for every
     n <= m+4, and at n = m+5 only for m = 2, 3."""
-    return k_squared_singular(m, n) > 0
+    m, n = check_mn(m, n)
+    return _m_k_squared(m, n) > 0
 
 
 def _pivots(gram) -> list[Fraction]:

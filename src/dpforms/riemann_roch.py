@@ -12,8 +12,8 @@ The t = 0 branch is genuinely needed: for m = 2 every correction vanishes
 (t is always 0), and for m = 4 the nonzero residue t = 2 also evaluates to 0,
 so generic-looking closed forms that assume t != 0 fail exactly there.
 
-h^0 is exact integer arithmetic: 2m * chi = 2m + j(j+1)((8-n)m + (m-2)^2) + 2m c
-must divide by 2m into a non-negative quotient, and anything else raises
+h^0 is exact integer arithmetic: 2m * chi = 2m + j(j+1) m K_X^2 + 2m c, with
+m K_X^2 = (m+2)^2 - nm from `lattice._m_k_squared`, must divide by 2m into a non-negative quotient, and anything else raises
 InternalInvariantError.  Fractions remain only for the reported correction c.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParameterError
-from .lattice import check_mn, integral, is_del_pezzo, k_squared_singular
+from .lattice import _m_k_squared, check_mn, integral, is_del_pezzo, k_squared_singular
 
 
 def _nonnegative_j(j) -> int:
@@ -62,8 +62,7 @@ def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
     m, n = check_mn(m, n)
     j = _nonnegative_j(j)
     scale = 2 * m
-    scaled = (scale + j * (j + 1) * ((8 - n) * m + (m - 2) ** 2)
-              + _scaled_correction(m, (-2 * j) % m))
+    scaled = scale + j * (j + 1) * _m_k_squared(m, n) + _scaled_correction(m, (-2 * j) % m)
     h0, rest = divmod(scaled, scale)
     if rest:
         raise InternalInvariantError(

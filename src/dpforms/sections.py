@@ -35,9 +35,16 @@ RationalLike = Fraction | int
 
 @dataclass(frozen=True)
 class UnivariatePoly:
-    """Polynomial in one variable; coeffs[i] multiplies t^i, no trailing zeros."""
+    """Polynomial in one variable; coeffs[i] multiplies t^i.  Construction
+    stores the coefficients as Fractions with no trailing zeros."""
 
     coeffs: tuple[Fraction, ...]
+
+    def __post_init__(self) -> None:
+        coeffs = [Fraction(c) for c in self.coeffs]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -65,11 +72,8 @@ class UnivariatePoly:
 
 
 def poly(coeffs: Iterable[RationalLike]) -> UnivariatePoly:
-    """Build a UnivariatePoly, coercing to Fraction and trimming zeros."""
-    cleaned = [Fraction(c) for c in coeffs]
-    while cleaned and cleaned[-1] == 0:
-        cleaned.pop()
-    return UnivariatePoly(coeffs=tuple(cleaned))
+    """Build a UnivariatePoly from any iterable of coefficients, t^0 first."""
+    return UnivariatePoly(tuple(coeffs))
 
 
 def poly_divmod(num: UnivariatePoly, den: UnivariatePoly) -> tuple[UnivariatePoly, UnivariatePoly]:

@@ -576,6 +576,18 @@ def test_python_m_runs_cli(capsys, module):
     assert proc.stderr == ""
 
 
+def test_exports_are_the_library_objects():
+    # __all__ is the export table's names and run, sorted, then __version__
+    import dpforms
+
+    names = [name for names in dpforms._EXPORTS.values() for name in names.split()]
+    assert len(names) == len(set(names)) == 74
+    assert dpforms.__all__ == sorted(names + ["run"]) + ["__version__"]
+    for module, listed in dpforms._EXPORTS.items():
+        for name in listed.split():
+            assert getattr(dpforms, name) is getattr(sys.modules[f"dpforms.{module}"], name)
+
+
 def test_import_leaves_the_cli_unloaded():
     code = ("import sys, dpforms; assert 'dpforms.cli' not in sys.modules; "
             "assert dpforms.run is sys.modules['dpforms.cli'].run")

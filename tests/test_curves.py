@@ -118,6 +118,12 @@ def test_custom_box_census():
     assert len(census) == 9
 
 
+def test_box_of_the_wrong_length_refused():
+    model = build_model(2, 6)
+    with pytest.raises(ParameterError, match="search box has 3 intervals, model rank is 8"):
+        brute_force_minus_one_classes(model, SearchBox(((0, 1),) * 3))
+
+
 def test_certificate_failure_has_witness():
     # a (-1)-class outside the default window box: the window misses it,
     # the complete census holds it

@@ -1,5 +1,6 @@
 """Curve systems, action validation, and the two ell solvers."""
 
+import gc
 import random
 from itertools import combinations
 from operator import mul
@@ -16,6 +17,7 @@ from dpforms import (
     ParameterError,
     SystemSizeError,
     brute_force_ell,
+    brute_force_minus_one_classes,
     build_curve_system,
     build_model,
     compute_ell,
@@ -70,6 +72,50 @@ def test_build_curve_system_rejects_bad_members():
     hirzebruch = build_model(2, 6)
     with pytest.raises(ParameterError, match="curve 1 has self-intersection 0, expected -1"):
         CurveSystem(hirzebruch, (hirzebruch.distinguished["F"],) * 12)
+
+
+def test_curve_system_refusals_name_the_curve():
+    plane = build_model(2, 6, PLANE)
+    # -e_1 has square -1 but degree -1; the conic 2e_0 - e_1 - ... - e_5 is a
+    # (-1)-class with Q-incidence 4 - 5 = -1
+    for coeffs, message in (((0, -1, 0, 0, 0, 0, 0, 0),
+                             "curve 2 has anticanonical degree -1, expected 1"),
+                            ((2, -1, -1, -1, -1, -1, 0, 0),
+                             "curve 2 has negative Q-incidence -1")):
+        with pytest.raises(ParameterError, match=message):
+            CurveSystem(plane, (plane.distinguished["E_1"], plane.divisor(coeffs)))
+    for degree in (0, -3):
+        with pytest.raises(ParameterError, match=f"degree must be >= 1, got {degree}"):
+            GaloisAction(degree, ())
+
+
+def test_validate_action_reports_q_incidence():
+    # E_1 misses Q and F - E_1 meets it once, so swapping them is refused
+    model = build_model(2, 6)
+    e1, f = model.distinguished["E_1"], model.distinguished["F"]
+    system = build_curve_system(model, [e1, f - e1])
+    assert system.q_incidence == (0, 1)
+    report = validate_action(system, GaloisAction(2, ((2, 1),)))
+    assert report.violations == (
+        "generator 1: curve 1 has Q-incidence 0 but its image 2 has 1",
+        "generator 1: curve 2 has Q-incidence 1 but its image 1 has 0",
+    )
+
+
+def test_searches_leave_no_cyclic_garbage():
+    # each search frees what it builds by reference counting alone
+    system = _plane_system(3)
+    census_model = build_model(3, 8)
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_minus_one_classes(build_model(3, 7, PLANE))
+        minus_one_census(census_model)
+        assert gc.collect() == 0
+        compute_ell(system, GaloisAction.trivial(len(system)))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_action_validation():

@@ -142,6 +142,15 @@ def test_signature_and_determinant_match_sympy():
         assert gram_determinant(SimpleNamespace(gram=a)) == mat.det(), a
 
 
+def test_k_squared_matches_the_fraction_formula():
+    # the formula 8 - n + (m-2)^2/m that m K_X^2 = (m+2)^2 - nm replaced
+    for m in range(2, 101):
+        for n in range(1, m + 6):
+            k2 = Fraction(8 - n) + Fraction((m - 2) ** 2, m)
+            assert k_squared_singular(m, n) == k2, (m, n)
+            assert is_del_pezzo(m, n) is (k2 > 0), (m, n)
+
+
 def test_divisor_arithmetic():
     model = build_model(2, 5)
     mk = model.anticanonical
@@ -159,6 +168,14 @@ def test_basis_mismatch_rejected():
         model.intersect(a, model.anticanonical)
 
 
+def test_sum_and_difference_across_bases_refused():
+    a, b = build_model(2, 5).anticanonical, build_model(3, 4).anticanonical
+    message = "classes live in different bases: 'hirzebruch\\(m=2,n=5\\)' vs 'hirzebruch\\(m=3,n=4\\)'"
+    for combine in (a.__add__, a.__sub__):
+        with pytest.raises(BasisMismatchError, match=message):
+            combine(b)
+
+
 def test_divisor_length_checked():
     model = build_model(2, 5)
     with pytest.raises(ParameterError):
@@ -167,9 +184,10 @@ def test_divisor_length_checked():
 
 def test_divisor_coefficients_integral():
     model = build_model(2, 1)
-    coeffs = model.divisor((2.0, True, -1)).coeffs
+    coeffs = model.divisor((2.0, Fraction(1), -1)).coeffs
     assert coeffs == (2, 1, -1) and all(type(x) is int for x in coeffs)
-    for bad in ((2.5, 0, 0), ("3", 0, 0)):
+    # a bool is refused, as by `lattice.integral`, though True == 1
+    for bad in ((2.5, 0, 0), ("3", 0, 0), (True, 0, 0), (1, 0, False)):
         with pytest.raises(ParameterError, match="must be integers"):
             model.divisor(bad)
 

@@ -7,6 +7,7 @@ import pytest
 
 from dpforms import (
     ParameterError,
+    UnivariatePoly,
     binary_form,
     ci_split_polynomial,
     factor_over_rationals,
@@ -28,6 +29,15 @@ def test_poly_basics():
     product = p * poly([0, 1])
     assert product.coeffs == (0, 1, 0, -1)
     assert poly([0]).degree == -1
+
+
+def test_poly_normal_form_on_construction():
+    # a directly built polynomial is normalized as poly() builds it
+    direct = UnivariatePoly((1, 0))
+    assert direct == poly([1]) and direct.degree == 0
+    assert all(type(c) is Fraction for c in direct.coeffs)
+    assert UnivariatePoly((0, 0)) == poly(()) and UnivariatePoly((0,)).is_zero
+    assert UnivariatePoly(("1/2", 0.5)).coeffs == (Fraction(1, 2), Fraction(1, 2))
 
 
 def test_binary_form_basics():
@@ -248,6 +258,8 @@ def test_line_census_validation():
         line_census(binary_form([1, 0, 1]), binary_form([1, 0, 1]))
     with pytest.raises(ParameterError):
         line_census(quartic, binary_form([1, 0, 0]))
+    with pytest.raises(ParameterError, match="B must have degree 2, got 3"):
+        line_census(quartic, binary_form([1, 0, 0, 1]))
     square = binary_form([1, 2, 1])
     with pytest.raises(ParameterError):
         line_census(quartic, square)
