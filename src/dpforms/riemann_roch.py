@@ -13,8 +13,9 @@ The t = 0 branch is genuinely needed: for m = 2 every correction vanishes
 so generic-looking closed forms that assume t != 0 fail exactly there.
 
 h^0 is exact integer arithmetic: 2m * chi = 2m + j(j+1) m K_X^2 + 2m c, with
-m K_X^2 = (m+2)^2 - nm from `lattice._m_k_squared`, must divide by 2m into a non-negative quotient, and anything else raises
-InternalInvariantError.  Fractions remain only for the reported correction c.
+m K_X^2 = (m+2)^2 - nm from `lattice._m_k_squared`, must divide by 2m into a
+non-negative quotient, and anything else raises InternalInvariantError.
+Fractions remain only for the reported correction c.
 """
 
 from __future__ import annotations

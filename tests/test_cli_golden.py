@@ -43,7 +43,8 @@ INSTANCES = {
                     "q_point": "yes"},
     "invalid": {"model": PLANE_2_6, "galois": [[2, 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12]]},
     "invalid_many": {"model": PLANE_2_6, "galois": [[12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1]]},
-    "explicit": {"model": HIRZ_2_6, "curves": [[0, 1, -1, 0, 0, 0, 0, 0], [0, 1, 0, -1, 0, 0, 0, 0]],
+    "explicit": {"model": HIRZ_2_6,
+                 "curves": [[0, 1, -1, 0, 0, 0, 0, 0], [0, 1, 0, -1, 0, 0, 0, 0]],
                  "galois": [[2, 1]]},
     "explicit_point": {"model": {"m": 3, "n": 7, "kind": "hirzebruch"},
                        "curves": [[0, 1, -1, 0, 0, 0, 0, 0, 0], [0, 1, 0, -1, 0, 0, 0, 0, 0]],
