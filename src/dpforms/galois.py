@@ -2,15 +2,19 @@
 
 A curve system indexes a finite list of (-1)-classes on one surface model and
 caches their pairwise intersections together with each curve's intersection
-number against the negative section Q.  Each curve is lowered once to its dual
-row ``SurfaceModel.dual``, which checks its basis, and every pairing is that
-row times a raw coefficient vector; the whole Gram table is one call of
-`lattice._products`, which packs the coefficient vectors by Kronecker
-substitution.
+number against the negative section Q.  Every curve's basis and length are
+checked first; its dual row (gram . v), its anticanonical degree and its
+Q-incidence then come from `lattice._products` tables over all curves at
+once, and every pairing is a dual row times a raw coefficient vector: the
+whole Gram table is one more call of `lattice._products`, which packs the
+coefficient vectors by Kronecker substitution.
 
 A Galois action is given by finitely many generators, each a permutation of
 the curve indices written as a 1-based image list (an infinite Galois group
-acts through the finite quotient the generators present).
+acts through the finite quotient the generators present).  `validate_action`
+checks a generator p by whole rows: row i of the Gram table is preserved iff
+``itemgetter(*p)(gram[p[i]]) == gram[i]``, and only a row that differs is
+scanned pair by pair to name its violations.
 
 ell is the largest size of a generator-invariant set of curves that all meet
 Q and are pairwise disjoint.  Invariant sets are unions of orbits, so the
@@ -20,7 +24,8 @@ orbit is admissible when its members miss the curves off Q and each
 member's mask meets the orbit in that member alone, two orbits conflict when
 the OR of one's member masks meets the other's members, and ell is the
 maximum weight independent set in that conflict graph with orbit sizes as
-weights.  `compute_ell` solves this exactly by branch and bound;
+weights.  `compute_ell` solves this exactly by branch and bound, and builds
+an orbit's row of that graph only when the search first branches on it;
 `brute_force_ell` re-derives it by exhausting all unions of orbits and
 exists purely as a cross-check.  It shares no mask with the search: it
 tabulates, for every subset of each half of the orbits, the union U of their
@@ -40,8 +45,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
-from operator import mul, or_
+from itertools import pairwise
+from operator import itemgetter, mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
@@ -55,37 +60,44 @@ _BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 class CurveSystem:
     """An indexed family of (-1)-classes with cached intersection data.
 
-    Construction refuses an empty family, a member that is not a (-1)-class
-    (self-intersection -1, anticanonical degree 1), a duplicate and negative
-    Q-incidence, each read off the member's dual row.  ``pair_gram`` packs
-    the coefficient vectors (`_products`), unless an entry may pass 8 bytes."""
+    Construction refuses an empty family; then any member of another basis or
+    length; then, curve by curve, a member that is not a (-1)-class
+    (self-intersection -1, anticanonical degree 1) or repeats an earlier one;
+    then negative Q-incidence.  Dual rows, degrees and Q-incidences are
+    `_products` tables over all members, as is ``pair_gram``."""
 
     model: SurfaceModel
     curves: tuple[DivisorClass, ...]
+    q_incidence: tuple[int, ...] = field(init=False, repr=False, compare=False)
     _duals: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.curves:
             raise ParameterError("curve system must contain at least one curve")
-        mk = self.model.anticanonical.coeffs
-        duals = []
-        seen: set[tuple[int, ...]] = set()
-        for i, c in enumerate(self.curves):
-            d = self.model.dual(c)
-            square = sum(map(mul, d, c.coeffs))
+        model = self.model
+        for c in self.curves:
+            model._owned(c)
+        coeffs = [c.coeffs for c in self.curves]
+        duals = tuple(zip(*_products(model.gram, coeffs)))
+        degrees, q_incidence = _products(
+            [model.dual(model.anticanonical), model.dual(model.distinguished["Q"])], coeffs)
+        # a stable sort puts each repeat right after its first occurrence; a
+        # set would hash vectors that differ by -1/-2 entries alike
+        order = sorted(range(len(coeffs)), key=coeffs.__getitem__)
+        repeats = {b for a, b in pairwise(order) if coeffs[a] == coeffs[b]}
+        for i, (d, c, degree) in enumerate(zip(duals, coeffs, degrees)):
+            square = sum(map(mul, d, c))
             if square != -1:
                 raise ParameterError(f"curve {i + 1} has self-intersection {square}, expected -1")
-            degree = sum(map(mul, d, mk))
             if degree != 1:
                 raise ParameterError(f"curve {i + 1} has anticanonical degree {degree}, expected 1")
-            if c.coeffs in seen:
+            if i in repeats:
                 raise ParameterError(f"curve {i + 1} duplicates an earlier curve")
-            seen.add(c.coeffs)
-            duals.append(d)
-        object.__setattr__(self, "_duals", tuple(duals))
-        for i, q in enumerate(self.q_incidence):
+        for i, q in enumerate(q_incidence):
             if q < 0:
                 raise ParameterError(f"curve {i + 1} has negative Q-incidence {q}")
+        object.__setattr__(self, "_duals", duals)
+        object.__setattr__(self, "q_incidence", q_incidence)
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -93,11 +105,6 @@ class CurveSystem:
     @cached_property
     def pair_gram(self) -> tuple[tuple[int, ...], ...]:
         return _products(self._duals, [c.coeffs for c in self.curves])
-
-    @cached_property
-    def q_incidence(self) -> tuple[int, ...]:
-        q = self.model.distinguished["Q"].coeffs
-        return tuple(sum(map(mul, d, q)) for d in self._duals)
 
 
 def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> CurveSystem:
@@ -173,7 +180,9 @@ def validate_action(system: CurveSystem, action: GaloisAction) -> ValidationRepo
 
     A generator g is admissible iff pair_gram[g(i)][g(j)] = pair_gram[i][j]
     for all pairs and q_incidence[g(i)] = q_incidence[i] for all i.  All
-    violations are reported, not just the first.
+    violations are reported, not just the first, in the pair order of
+    `itertools.combinations`; rows are compared whole, and only a row that
+    differs is scanned pair by pair.
     """
     if action.degree != len(system):
         raise ParameterError(
@@ -181,21 +190,30 @@ def validate_action(system: CurveSystem, action: GaloisAction) -> ValidationRepo
         )
     gram = system.pair_gram
     qinc = system.q_incidence
+    n = len(qinc)
+    if n == 1:  # the one permutation of one curve fixes it; itemgetter(0) gives no tuple
+        return ValidationReport(ok=True, violations=())
     violations: list[str] = []
     for k, gen in enumerate(action.generators):
         p = [img - 1 for img in gen]
-        for i in range(len(p)):
-            if qinc[p[i]] != qinc[i]:
-                violations.append(
-                    f"generator {k + 1}: curve {i + 1} has Q-incidence {qinc[i]} "
-                    f"but its image {p[i] + 1} has {qinc[p[i]]}"
-                )
-        for i, j in combinations(range(len(p)), 2):
-            if gram[p[i]][p[j]] != gram[i][j]:
-                violations.append(
-                    f"generator {k + 1}: curves ({i + 1},{j + 1}) intersect in {gram[i][j]} "
-                    f"but their images ({p[i] + 1},{p[j] + 1}) intersect in {gram[p[i]][p[j]]}"
-                )
+        moved = itemgetter(*p)
+        if moved(qinc) != qinc:
+            for i in range(n):
+                if qinc[p[i]] != qinc[i]:
+                    violations.append(
+                        f"generator {k + 1}: curve {i + 1} has Q-incidence {qinc[i]} "
+                        f"but its image {p[i] + 1} has {qinc[p[i]]}"
+                    )
+        for i, row in enumerate(gram):
+            image = gram[p[i]]
+            if moved(image) == row:
+                continue
+            for j in range(i + 1, n):
+                if image[p[j]] != row[j]:
+                    violations.append(
+                        f"generator {k + 1}: curves ({i + 1},{j + 1}) intersect in {row[j]} "
+                        f"but their images ({p[i] + 1},{p[j] + 1}) intersect in {image[p[j]]}"
+                    )
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -245,9 +263,7 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
             members.append(mem)
     k = len(cands)
     sizes = [len(o) for o in cands]
-    # two orbits conflict when one meets a member of the other
-    reach = [reduce(or_, (masks[i] for i in o)) for o in cands]
-    compat = [sum(1 << j for j, mem in enumerate(members) if not r & mem) for r in reach]
+    compat = _Compatible(cands, members, masks)
     # the bound is the total size of the orbits still available, counted by size
     by_size: dict[int, int] = {}
     for i, size in enumerate(sizes):
@@ -258,6 +274,20 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     picked = tuple(cands[i] for i in sorted(best_choice, key=lambda i: cands[i]))
     witness = tuple(sorted(i for orb in picked for i in orb))
     return EllResult(ell=best_weight, witness=witness, witness_orbits=picked)
+
+
+class _Compatible(dict):
+    """compat[i], built when the search first branches on orbit i: the mask
+    of the candidate orbits that do not conflict with it (two orbits
+    conflict when one meets a member of the other)."""
+
+    def __init__(self, cands, members, masks) -> None:
+        self.cands, self.members, self.masks = cands, members, masks
+
+    def __missing__(self, i: int) -> int:
+        reach = reduce(or_, (self.masks[c] for c in self.cands[i]))
+        row = self[i] = sum(1 << j for j, mem in enumerate(self.members) if not reach & mem)
+        return row
 
 
 def _walk(avail, weight, chosen, best, compat, sizes, groups, cap) -> tuple[int, tuple[int, ...]]:

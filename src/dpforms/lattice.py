@@ -23,8 +23,11 @@ Bulk pairings of dual rows (``SurfaceModel.dual``) with coefficient vectors go
 through `_products`, by Kronecker substitution (von zur Gathen & Gerhard,
 *Modern Computer Algebra*, 8.4): coordinate k of all N vectors packs into one
 integer, a W-byte digit per vector, so a row of pairings is one short sum of
-big integers read back as W-byte words; entries that may pass 8 bytes
-(coefficients of about 2^28 and up) take a dot product each.
+big integers read back as W-byte words.  A column packs in C: one
+``struct.pack`` writes its entries, each offset by 2^(8W-1), as unsigned
+native W-byte words, and those bytes, read as one integer, lose the N offsets
+in one subtraction.  Entries and coefficients that may pass 8 bytes (from
+about 2^28 up) take a dot product each.
 """
 
 from __future__ import annotations
@@ -32,9 +35,10 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, reduce
+from functools import cached_property
 from math import prod
 from operator import mul
+from struct import pack
 
 from .errors import BasisMismatchError, ParameterError
 
@@ -136,6 +140,17 @@ class SurfaceModel:
             raise BasisMismatchError(
                 f"class in basis {cls.basis!r} paired inside model {self.basis_tag!r}"
             )
+        if len(cls.coeffs) != self.rank:
+            raise BasisMismatchError(
+                f"class with {len(cls.coeffs)} coefficients paired inside model "
+                f"{self.basis_tag!r} of rank {self.rank}"
+            )
+
+    @cached_property
+    def pivots(self) -> tuple[Fraction, ...]:
+        """The pivots of `_pivots` on the Gram matrix, computed once per model:
+        signature and determinant both read them."""
+        return tuple(_pivots(self.gram))
 
     @cached_property
     def _gram_entries(self) -> tuple[tuple[int, int, int], ...]:
@@ -196,20 +211,21 @@ class SurfaceModel:
 def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
     """The table of ``sum(map(mul, d, w))`` for d in lefts and w in rights, by
     Kronecker substitution in the least W of 1, 2, 4, 8 bytes that holds every
-    entry as a signed digit; past 8 bytes, by one dot product per entry."""
+    entry and every coefficient as a signed digit; past 8 bytes, by one dot
+    product per entry."""
     tops = [max(map(abs, col)) for col in zip(*rights)]
-    bound = max(sum(map(mul, map(abs, d), tops)) for d in lefts)
+    bound = max(max(sum(map(mul, map(abs, d), tops)) for d in lefts), *tops)
     width = next((w for w in (1, 2, 4, 8) if bound < 1 << (8 * w - 1)), 0)
     if not width:
         return tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
-    shift, n = 8 * width, len(rights)
-    # a big-endian host reads the words of to_bytes last digit first
-    ordered = rights if sys.byteorder == "little" else rights[::-1]
-    packed = [reduce(lambda acc, x: (acc << shift) + x, reversed(col), 0)
-              for col in zip(*ordered)]
-    # +2^(8W-1) per digit leaves none negative; the XOR makes W-byte two's complements
+    n, half = len(rights), 1 << (8 * width - 1)
+    # +2^(8W-1) per digit leaves none negative: bias is that offset on all n digits
     bias = int.from_bytes((b"\x80" + bytes(width - 1)) * n, "big")
     code = "bhiq"[width.bit_length() - 1]
+    words = f"{n}{code.upper()}"
+    packed = [int.from_bytes(pack(words, *map(half.__add__, col)), sys.byteorder) - bias
+              for col in zip(*rights)]
+    # the XOR turns each biased digit of a row into its W-byte two's complement
     return tuple(
         tuple(memoryview(((sum(map(mul, d, packed)) + bias) ^ bias)
                          .to_bytes(n * width, sys.byteorder)).cast(code))
@@ -325,23 +341,28 @@ def _pivots(gram) -> list[Fraction]:
     return pivots
 
 
+def _signature(pivots) -> tuple[int, int]:
+    return sum(p > 0 for p in pivots), sum(p < 0 for p in pivots)
+
+
 def signature_of(gram) -> tuple[int, int]:
     """Signature (positive, negative) of a symmetric rational matrix.
 
     Exact symmetric congruence diagonalization over Fraction; no eigenvalues,
     no floating point.
     """
-    pivots = _pivots(gram)
-    return sum(p > 0 for p in pivots), sum(p < 0 for p in pivots)
+    return _signature(_pivots(gram))
 
 
 def lattice_signature(model: SurfaceModel) -> tuple[int, int]:
-    return signature_of(model.gram)
+    return _signature(model.pivots)
 
 
 def gram_determinant(model: SurfaceModel) -> int:
-    """Exact determinant of the Gram matrix: the product of its pivots."""
-    det = prod(_pivots(model.gram), start=Fraction(1))
+    """Exact determinant of the Gram matrix: the product of its pivots, the
+    model's cached ones or, for any other object with a ``gram``, fresh ones."""
+    pivots = model.pivots if isinstance(model, SurfaceModel) else _pivots(model.gram)
+    det = prod(pivots, start=Fraction(1))
     if det.denominator != 1:
         raise AssertionError("integer matrix produced non-integer determinant")
     return int(det)

@@ -158,9 +158,11 @@ def check_incidence_law() -> CheckResult:
         q = model.distinguished["Q"]
         if not (model.anticanonical - q - e0).is_zero():
             problems.append(f"m={m}: -K - Q - E_0 is nonzero")
-        if e0.coeffs not in {c.coeffs for c in census}:
+        # a list scans by equality: a set of these vectors would hash many alike
+        coeffs = [c.coeffs for c in census]
+        if e0.coeffs not in coeffs:
             problems.append(f"m={m}: E_0 missing from the census window")
-        pairs = zip(*_products([model.dual(e0), model.dual(q)], [c.coeffs for c in census]))
+        pairs = zip(*_products([model.dual(e0), model.dual(q)], coeffs))
         for c, pair in zip(census, pairs):
             if c.coeffs == e0.coeffs:
                 continue

@@ -16,6 +16,7 @@ from dpforms import (
     InvalidActionError,
     ParameterError,
     SystemSizeError,
+    ValidationReport,
     brute_force_ell,
     brute_force_minus_one_classes,
     build_curve_system,
@@ -100,6 +101,94 @@ def test_validate_action_reports_q_incidence():
         "generator 1: curve 1 has Q-incidence 0 but its image 2 has 1",
         "generator 1: curve 2 has Q-incidence 1 but its image 1 has 0",
     )
+
+
+def test_curve_system_refusal_order():
+    # every basis first; then curve by curve square, degree, repeat; then Q-incidence
+    plane = build_model(2, 6, PLANE)
+    e1, k = plane.distinguished["E_1"], plane.anticanonical
+    minus_e1 = plane.divisor((0, -1, 0, 0, 0, 0, 0, 0))
+    conic = plane.divisor((2, -1, -1, -1, -1, -1, 0, 0))
+    foreign = build_model(2, 6).distinguished["E_1"]
+    for curves, error, message in (
+        ((e1, k, foreign), BasisMismatchError, "class in basis 'hirzebruch"),
+        ((e1, k, minus_e1), ParameterError, "curve 2 has self-intersection 2, expected -1"),
+        ((e1, e1, k), ParameterError, "curve 2 duplicates an earlier curve"),
+        ((e1, conic, minus_e1), ParameterError, "curve 3 has anticanonical degree -1"),
+        ((e1, conic, e1), ParameterError, "curve 3 duplicates an earlier curve"),
+    ):
+        with pytest.raises(error, match=message):
+            CurveSystem(plane, curves)
+
+
+def test_curve_system_finds_a_repeat_among_hash_alike_vectors():
+    # the (3,8) window vectors differ in -1/-2 entries, and CPython hashes
+    # -1 and -2 alike; a repeat is named at its second occurrence
+    model = build_model(3, 8)
+    census = list(curves_meeting_q(model))
+    for at, copied in ((len(census), 0), (100, 150), (1, 240)):
+        curves = census[:at] + [census[copied]] + census[at:]
+        later = max(at, copied + (copied >= at)) + 1
+        with pytest.raises(ParameterError, match=f"curve {later} duplicates an earlier curve"):
+            CurveSystem(model, tuple(curves))
+
+
+def _pairwise_validation(system, action):
+    """`validate_action` as one loop over every generator and pair (i < j),
+    the reference for its reports."""
+    gram, qinc = system.pair_gram, system.q_incidence
+    violations = []
+    for k, gen in enumerate(action.generators):
+        p = [img - 1 for img in gen]
+        for i in range(len(p)):
+            if qinc[p[i]] != qinc[i]:
+                violations.append(
+                    f"generator {k + 1}: curve {i + 1} has Q-incidence {qinc[i]} "
+                    f"but its image {p[i] + 1} has {qinc[p[i]]}"
+                )
+        for i, j in combinations(range(len(p)), 2):
+            if gram[p[i]][p[j]] != gram[i][j]:
+                violations.append(
+                    f"generator {k + 1}: curves ({i + 1},{j + 1}) intersect in {gram[i][j]} "
+                    f"but their images ({p[i] + 1},{p[j] + 1}) intersect in {gram[p[i]][p[j]]}"
+                )
+    return ValidationReport(ok=not violations, violations=tuple(violations))
+
+
+def test_validate_action_matches_the_pairwise_loop():
+    rng = random.Random(19)
+    hirzebruch = build_model(2, 6)
+    e1, e2, f = (hirzebruch.distinguished[name] for name in ("E_1", "E_2", "F"))
+    # E_i <-> F - E_i keeps every pairing and moves Q-incidence 0 to 1
+    q_only = build_curve_system(hirzebruch, [e1, e2, f - e1, f - e2])
+    q_swap = GaloisAction(4, ((3, 4, 1, 2), (1, 2, 3, 4), (3, 2, 1, 4)))
+    report = validate_action(q_only, q_swap)
+    assert len(report.violations) == 6
+    assert sum("Q-incidence" in v for v in report.violations) == 6
+    one = build_curve_system(hirzebruch, [e1])
+    cases = [(q_only, q_swap), (one, GaloisAction(1, ((1,), (1,))))]
+    plane, window = _plane_system(), standard_curve_system(build_model(3, 8))
+    for system, valid in ((plane, lambda: _realizable_plane_action(rng, 6).generators[0]),
+                          (window, lambda: _point_action(window, rng).generators[0])):
+        n = len(system)
+        for _ in range(12):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                gen = list(valid())
+                kind = rng.randrange(3)
+                if kind == 1:  # a valid image list with two images exchanged
+                    a, b = rng.sample(range(n), 2)
+                    gen[a], gen[b] = gen[b], gen[a]
+                elif kind == 2:
+                    rng.shuffle(gen)
+                gens.append(tuple(gen))
+            cases.append((system, GaloisAction(n, tuple(gens))))
+    outcomes = set()
+    for system, action in cases:
+        report = validate_action(system, action)
+        assert report == _pairwise_validation(system, action)
+        outcomes.add((len(system), report.ok))
+    assert outcomes == {(1, True), (4, False), (12, True), (12, False), (241, True), (241, False)}
 
 
 def test_searches_leave_no_cyclic_garbage():
@@ -396,6 +485,36 @@ def test_compute_ell_matches_the_reference_search():
             action = _point_action(system, rng)
             assert validate_action(system, action).ok
             assert compute_ell(system, action) == _reference_ell(system, action)
+
+
+def _cycle_action(system, rng, cycle_types):
+    """One generator per cycle type, each cycling disjoint blown-up points E_i."""
+    index = {c.coeffs: k for k, c in enumerate(system.curves)}
+    points = rng.sample(range(system.model.n), system.model.n)
+    gens = []
+    for cycles in cycle_types:
+        source = list(range(system.model.n))
+        for length in cycles:
+            cycle, points = points[:length], points[length:]
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                source[b] = a
+        gens.append(tuple(index[c.coeffs[:2] + tuple(c.coeffs[2 + s] for s in source)] + 1
+                          for c in system.curves))
+    return GaloisAction(len(system), tuple(gens))
+
+
+def test_compute_ell_matches_the_reference_on_the_five_ten_window():
+    # the cycle types of the benchmark's ell jobs: none, a 2-cycle, a
+    # 3-cycle and a disjoint 2-cycle
+    system = standard_curve_system(build_model(5, 10))
+    assert len(system) == 308
+    rng = random.Random(510)
+    for cycle_types in ((), ((2,),), ((3,), (2,))):
+        action = _cycle_action(system, rng, cycle_types)
+        assert validate_action(system, action).ok
+        result = compute_ell(system, action)
+        assert result.ell == system.model.rank - 1
+        assert result == _reference_ell(system, action), cycle_types
 
 
 def test_q_point_forced():

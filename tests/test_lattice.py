@@ -9,6 +9,8 @@ import pytest
 from dpforms import (
     PLANE,
     BasisMismatchError,
+    CurveSystem,
+    DivisorClass,
     ParameterError,
     build_model,
     anti_plurigenus_table,
@@ -25,6 +27,8 @@ from dpforms import (
     q_point_forced,
     signature_of,
 )
+from dpforms import lattice
+from dpforms.lattice import _pivots
 
 
 def test_hirzebruch_gram():
@@ -180,6 +184,30 @@ def test_divisor_length_checked():
     model = build_model(2, 5)
     with pytest.raises(ParameterError):
         model.divisor((1, 2, 3))
+
+
+def test_pairing_refuses_a_class_of_the_wrong_length():
+    # the basis tag alone lets a short class index past its end and a long
+    # one pair with its extra entries dropped
+    model = build_model(2, 6, PLANE)
+    e1 = model.distinguished["E_1"]
+    for coeffs in ((0, 0, 1), (0,) * 8 + (1,)):
+        stray = DivisorClass(model.basis_tag, coeffs)
+        message = f"class with {len(coeffs)} coefficients paired inside model .* of rank 8"
+        for pair in (model.dual, lambda c: model.intersect(e1, c),
+                     lambda c: model.intersect(c, e1), lambda c: CurveSystem(model, (e1, c))):
+            with pytest.raises(BasisMismatchError, match=message):
+                pair(stray)
+
+
+def test_signature_and_determinant_share_one_diagonalization(monkeypatch):
+    calls = []
+    monkeypatch.setattr(lattice, "_pivots", lambda gram: calls.append(gram) or _pivots(gram))
+    model = build_model(3, 6)
+    assert lattice_signature(model) == (1, model.rank - 1)
+    assert is_unimodular(model) and gram_determinant(model) == -1
+    assert calls == [model.gram]
+    assert model.pivots == tuple(_pivots(model.gram))
 
 
 def test_divisor_coefficients_integral():
