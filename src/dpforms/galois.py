@@ -6,8 +6,10 @@ number against the negative section Q.  Every curve's basis and length are
 checked first; its dual row (gram . v), its anticanonical degree and its
 Q-incidence then come from `lattice._products` tables over all curves at
 once, and every pairing is a dual row times a raw coefficient vector: the
-whole Gram table is one more call of `lattice._products`, which packs the
-coefficient vectors by Kronecker substitution.
+whole Gram table is one call of `lattice._products_and_masks`, which packs
+the coefficient vectors by Kronecker substitution and reads, from the same
+packed bytes, each curve's mask: its own bit plus the bits of the curves it
+meets (``CurveSystem.masks``).
 
 A Galois action is given by finitely many generators, each a permutation of
 the curve indices written as a 1-based image list (an infinite Galois group
@@ -18,20 +20,20 @@ scanned pair by pair to name its violations.
 
 ell is the largest size of a generator-invariant set of curves that all meet
 Q and are pairwise disjoint.  Invariant sets are unions of orbits, so the
-search runs over orbits.  Admissibility and conflicts both come from one
-bitmask per curve, its own bit plus the bits of the curves it meets: an
-orbit is admissible when its members miss the curves off Q and each
-member's mask meets the orbit in that member alone, two orbits conflict when
-the OR of one's member masks meets the other's members, and ell is the
-maximum weight independent set in that conflict graph with orbit sizes as
-weights.  `compute_ell` solves this exactly by branch and bound, and builds
-an orbit's row of that graph only when the search first branches on it;
-`brute_force_ell` re-derives it by exhausting all unions of orbits and
-exists purely as a cross-check.  It shares no mask with the search: it
-tabulates, for every subset of each half of the orbits, the union U of their
-members and the union N of the curves those members meet, and tests each
-union of orbits by the two defining conditions, U inside the curves that
-meet Q and U & N == 0, with no pruning.
+search runs over orbits, which `orbit_partition` finds in one sweep.
+Admissibility and conflicts both come from the curve masks: an orbit is
+admissible when its members miss the curves off Q and each member's mask
+meets the orbit in that member alone, two orbits conflict when the OR of
+one's member masks meets the other's members, and ell is the maximum weight
+independent set in that conflict graph with orbit sizes as weights.
+`compute_ell` solves this exactly by branch and bound, and builds an orbit's
+row of that graph only when the search first branches on it;
+`brute_force_ell` re-derives it by exhausting all unions of orbits and exists
+purely as a cross-check.  It shares no mask with the search: it derives its
+own from ``pair_gram`` and tabulates, for every subset of each half of the
+orbits, the union U of their members and the union N of the curves those
+members meet, and tests each union of orbits by the two defining conditions,
+U inside the curves that meet Q and U & N == 0, with no pruning.
 
 ell never exceeds rank(Pic) - 1: pairwise disjoint (-1)-curves have Gram
 matrix -I, so they span a negative definite subspace, and Pic has signature
@@ -45,15 +47,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import pairwise
+from itertools import chain, pairwise
 from operator import itemgetter, mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import DivisorClass, SurfaceModel, _products, integral
+from .lattice import DivisorClass, SurfaceModel, _products, _products_and_masks, integral
 
 BRUTE_FORCE_LIMIT = 24
-_BINARY_DIGITS = bytes.maketrans(b"\0\1", b"01")
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,8 @@ class CurveSystem:
     length; then, curve by curve, a member that is not a (-1)-class
     (self-intersection -1, anticanonical degree 1) or repeats an earlier one;
     then negative Q-incidence.  Dual rows, degrees and Q-incidences are
-    `_products` tables over all members, as is ``pair_gram``."""
+    `_products` tables over all members; ``pair_gram`` and ``masks`` come
+    from one `_products_and_masks` table."""
 
     model: SurfaceModel
     curves: tuple[DivisorClass, ...]
@@ -104,7 +106,17 @@ class CurveSystem:
 
     @cached_property
     def pair_gram(self) -> tuple[tuple[int, ...], ...]:
-        return _products(self._duals, [c.coeffs for c in self.curves])
+        return self._gram_and_masks[0]
+
+    @cached_property
+    def masks(self) -> tuple[int, ...]:
+        """Per curve, the bits of the curves it meets, its own bit included
+        (the diagonal of ``pair_gram`` is -1)."""
+        return self._gram_and_masks[1]
+
+    @cached_property
+    def _gram_and_masks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        return _products_and_masks(self._duals, [c.coeffs for c in self.curves])
 
 
 def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> CurveSystem:
@@ -129,12 +141,16 @@ class GaloisAction:
         object.__setattr__(self, "degree", integral("degree", self.degree))
         if self.degree < 1:
             raise ParameterError(f"degree must be >= 1, got {self.degree}")
-        object.__setattr__(self, "generators", tuple(
-            tuple(integral(f"generator {k + 1} image", x) for x in gen)
-            for k, gen in enumerate(self.generators)))
-        expected = tuple(range(1, self.degree + 1))
-        for k, gen in enumerate(self.generators):
-            if tuple(sorted(gen)) != expected:
+        gens = tuple(map(tuple, self.generators))
+        # one pass over the types when every image is an int; else an
+        # integral value (2.0) is converted and a bool, 2.5 or "2" refused
+        if {*map(type, chain.from_iterable(gens))} - {int}:
+            gens = tuple(tuple(integral(f"generator {k + 1} image", x) for x in gen)
+                         for k, gen in enumerate(gens))
+        object.__setattr__(self, "generators", gens)
+        expected = list(range(1, self.degree + 1))
+        for k, gen in enumerate(gens):
+            if sorted(gen) != expected:
                 raise ParameterError(
                     f"generator {k + 1} is not a permutation of 1..{self.degree}: {gen}"
                 )
@@ -149,24 +165,28 @@ class GaloisAction:
 
 
 def orbit_partition(action: GaloisAction) -> tuple[tuple[int, ...], ...]:
-    """Orbits of the generated group, as sorted 0-based index tuples sorted by minimum."""
-    parent = list(range(action.degree))
+    """Orbits of the generated group, as sorted 0-based index tuples sorted by minimum.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gen in action.generators:
-        for i, img in enumerate(gen):
-            a, b = find(i), find(img - 1)
-            if a != b:
-                parent[b] = a
-    groups: dict[int, list[int]] = {}
-    for i in range(action.degree):
-        groups.setdefault(find(i), []).append(i)
-    return tuple(tuple(sorted(g)) for g in sorted(groups.values(), key=min))
+    One sweep: each orbit grows from the lowest point not yet seen by
+    following the generators' images, which reaches the whole orbit because
+    every inverse of a permutation of a finite set is one of its powers."""
+    images = [[img - 1 for img in gen] for gen in action.generators]
+    seen = bytearray(action.degree)
+    orbits = []
+    for start in range(action.degree):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for x in orbit:  # the list grows while it is read
+            for p in images:
+                y = p[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    orbit.append(y)
+        orbit.sort()
+        orbits.append(tuple(orbit))
+    return tuple(orbits)
 
 
 @dataclass(frozen=True)
@@ -250,9 +270,7 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     deterministic.
     """
     _require_valid(system, action)
-    # a curve's mask marks itself (the diagonal is -1) and the curves it meets
-    masks = [int(bytes(map(bool, row)).translate(_BINARY_DIGITS)[::-1], 2)
-             for row in system.pair_gram]
+    masks = system.masks
     off_q = sum(1 << i for i, q in enumerate(system.q_incidence) if q < 1)
     # admissible: every member meets Q, and no member meets another
     cands, members = [], []

@@ -27,7 +27,10 @@ big integers read back as W-byte words.  A column packs in C: one
 ``struct.pack`` writes its entries, each offset by 2^(8W-1), as unsigned
 native W-byte words, and those bytes, read as one integer, lose the N offsets
 in one subtraction.  Entries and coefficients that may pass 8 bytes (from
-about 2^28 up) take a dot product each.
+about 2^28 up) take a dot product each.  `_packed_rows` is that packing
+core, and only it knows the byte layout: `_products` reads each row's words
+as ints, and `_products_and_masks` also reads from the same bytes, per row,
+the bitmask of its nonzero entries (``CurveSystem.masks``).
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ from __future__ import annotations
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from math import prod
-from operator import mul
+from operator import mul, or_
 from struct import pack
 
 from .errors import BasisMismatchError, ParameterError
@@ -45,6 +48,8 @@ from .errors import BasisMismatchError, ParameterError
 HIRZEBRUCH = "hirzebruch"
 PLANE = "plane"
 KINDS = (HIRZEBRUCH, PLANE)
+_WORD_CODES = {1: "b", 2: "h", 4: "i", 8: "q"}  # struct codes of signed W-byte words
+_NONZERO = b"0" + b"1" * 255  # a bytes.translate table: byte 0 -> "0", any other -> "1"
 
 
 @dataclass(frozen=True)
@@ -208,29 +213,56 @@ class SurfaceModel:
         return named
 
 
-def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
-    """The table of ``sum(map(mul, d, w))`` for d in lefts and w in rights, by
-    Kronecker substitution in the least W of 1, 2, 4, 8 bytes that holds every
-    entry and every coefficient as a signed digit; past 8 bytes, by one dot
-    product per entry."""
+def _packed_rows(lefts, rights):
+    """(W, rows) for the table of ``sum(map(mul, d, w))`` over d in lefts and w
+    in rights, by Kronecker substitution in the least W of 1, 2, 4, 8 bytes
+    that holds every entry and every coefficient as a signed digit: rows
+    yields each row's raw bytes, entry j the two's complement W-byte word at
+    bytes [jW, (j+1)W) in native order.  Past 8 bytes W is 0 and rows yields
+    each row as a tuple of dot products."""
     tops = [max(map(abs, col)) for col in zip(*rights)]
     bound = max(max(sum(map(mul, map(abs, d), tops)) for d in lefts), *tops)
     width = next((w for w in (1, 2, 4, 8) if bound < 1 << (8 * w - 1)), 0)
     if not width:
-        return tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
+        return 0, (tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
     n, half = len(rights), 1 << (8 * width - 1)
     # +2^(8W-1) per digit leaves none negative: bias is that offset on all n digits
     bias = int.from_bytes((b"\x80" + bytes(width - 1)) * n, "big")
-    code = "bhiq"[width.bit_length() - 1]
-    words = f"{n}{code.upper()}"
+    words = f"{n}{_WORD_CODES[width].upper()}"
     packed = [int.from_bytes(pack(words, *map(half.__add__, col)), sys.byteorder) - bias
               for col in zip(*rights)]
     # the XOR turns each biased digit of a row into its W-byte two's complement
-    return tuple(
-        tuple(memoryview(((sum(map(mul, d, packed)) + bias) ^ bias)
-                         .to_bytes(n * width, sys.byteorder)).cast(code))
-        for d in lefts
-    )
+    return width, (((sum(map(mul, d, packed)) + bias) ^ bias).to_bytes(n * width, sys.byteorder)
+                   for d in lefts)
+
+
+def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
+    """The table of ``sum(map(mul, d, w))`` for d in lefts and w in rights,
+    read off `_packed_rows`."""
+    width, rows = _packed_rows(lefts, rights)
+    if not width:
+        return tuple(rows)
+    code = _WORD_CODES[width]
+    return tuple(tuple(memoryview(row).cast(code)) for row in rows)
+
+
+def _products_and_masks(lefts, rights) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """``_products(lefts, rights)`` and, per row, the int whose bit j is set
+    iff entry j is nonzero.  A mask reads the row's bytes: the OR of its W
+    byte-strided slices has one byte per entry, which `_NONZERO` spells as
+    binary digits, last entry first."""
+    width, rows = _packed_rows(lefts, rights)
+    if not width:
+        table = tuple(rows)
+        return table, tuple(sum(1 << j for j, x in enumerate(row) if x) for row in table)
+    code, table, masks = _WORD_CODES[width], [], []
+    for row in rows:
+        table.append(tuple(memoryview(row).cast(code)))
+        if width > 1:
+            row = reduce(or_, (int.from_bytes(row[k::width], "little") for k in range(width))
+                         ).to_bytes(len(row) // width, "little")
+        masks.append(int(row.translate(_NONZERO)[::-1], 2))
+    return tuple(table), tuple(masks)
 
 
 def _m_k_squared(m: int, n: int) -> int:

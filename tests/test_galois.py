@@ -32,7 +32,7 @@ from dpforms import (
     standard_curve_system,
     validate_action,
 )
-from dpforms.lattice import _products
+from dpforms.lattice import _packed_rows, _products, _products_and_masks
 from dpforms.verification import _random_plane_action
 
 
@@ -207,6 +207,17 @@ def test_searches_leave_no_cyclic_garbage():
         gc.enable()
 
 
+def test_brute_force_shares_no_mask_with_the_search(monkeypatch):
+    system = _plane_system()
+    action = GaloisAction.trivial(len(system))
+    brute, search = brute_force_ell(system, action), compute_ell(system, action)
+    assert brute == search
+    # with every curve meeting every other, no two curves are disjoint
+    monkeypatch.setattr(CurveSystem, "masks", property(lambda s: ((1 << len(s)) - 1,) * len(s)))
+    assert brute_force_ell(system, action) == brute
+    assert compute_ell(system, action) != search
+
+
 def test_action_validation():
     with pytest.raises(ParameterError):
         GaloisAction(3, ((1, 1, 2),))
@@ -231,10 +242,48 @@ def test_action_validation():
         assert solve(system, floats) == solve(system, GaloisAction(12, (swap,)))
 
 
+def _union_find_orbits(action):
+    parent = list(range(action.degree))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for gen in action.generators:
+        for i, img in enumerate(gen):
+            a, b = find(i), find(img - 1)
+            if a != b:
+                parent[b] = a
+    groups = {}
+    for i in range(action.degree):
+        groups.setdefault(find(i), []).append(i)
+    return tuple(tuple(g) for g in sorted(groups.values()))
+
+
 def test_orbit_partition():
     action = GaloisAction(6, ((2, 1, 4, 3, 5, 6), (1, 2, 3, 4, 6, 5)))
     assert orbit_partition(action) == ((0, 1), (2, 3), (4, 5))
     assert orbit_partition(GaloisAction.trivial(3)) == ((0,), (1,), (2,))
+    # seeded random actions, and the benchmark's cycle types on the (5,10) window
+    rng = random.Random(308)
+    actions = []
+    for degree in (1, 2, 3, 5, 8, 13, 40, 97, 308):
+        for count in range(4):
+            gens = []
+            for _ in range(count):
+                # a random permutation, or one with few moved points
+                moved = rng.sample(range(degree), rng.choice((degree, min(degree, 3))))
+                perm = list(range(1, degree + 1))
+                for a, b in zip(moved, rng.sample(moved, len(moved))):
+                    perm[a] = b + 1
+                gens.append(tuple(perm))
+            actions.append(GaloisAction(degree, tuple(gens)))
+    window = standard_curve_system(build_model(5, 10))
+    actions += [_cycle_action(window, rng, cycle_types)
+                for cycle_types in ((), ((2,),), ((3,), (2,)))]
+    for action in actions:
+        assert orbit_partition(action) == _union_find_orbits(action), action.degree
 
 
 def test_validate_action_reports():
@@ -391,11 +440,17 @@ def _dot_table(lefts, rights):
     return tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
 
 
+def _nonzero_masks(table):
+    return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in table)
+
+
 def test_products_are_the_dot_products():
     # the largest |entry| lands on the top of a W-byte signed digit (W = 1,
     # 2, 4, 8) or one past it, which takes the next width or the plain sums;
-    # a coordinate every left row zeroes may hold entries of any size
+    # a coordinate every left row zeroes holds entries up to the bound, or up
+    # to 2^70, which takes the plain sums
     rng = random.Random(12)
+    widths = set()
     for bits in (7, 15, 31, 63):
         for bound in ((1 << bits) - 1, 1 << bits):
             for _ in range(10):
@@ -403,9 +458,10 @@ def test_products_are_the_dot_products():
                 d = [rng.choice((-1, 1)) for _ in range(rank)] + [0]
                 cuts = sorted(rng.randint(0, bound) for _ in range(rank - 1))
                 tops = [b - a for a, b in zip([0] + cuts, cuts + [bound])]
-                edge = [x * t for x, t in zip(d, tops)] + [rng.randint(-1 << 70, 1 << 70)]
+                spare = rng.choice((bound, 1 << 70))
+                edge = [x * t for x, t in zip(d, tops)] + [rng.randint(-spare, spare)]
                 rights = [edge, [-x for x in edge]]
-                rights += [[rng.randint(-t, t) for t in tops] + [rng.randint(-1 << 70, 1 << 70)]
+                rights += [[rng.randint(-t, t) for t in tops] + [rng.randint(-spare, spare)]
                            for _ in range(rng.randint(0, 8))]
                 rng.shuffle(rights)
                 lefts = [d] + [[x * rng.choice((-1, 0, 1)) for x in d]
@@ -414,6 +470,16 @@ def test_products_are_the_dot_products():
                 table = _products(lefts, rights)
                 assert table == _dot_table(lefts, rights), (bits, bound)
                 assert max(abs(x) for row in table for x in row) == bound
+                assert _products_and_masks(lefts, rights) == (table, _nonzero_masks(table))
+                widths.add(_packed_rows(lefts, rights)[0])
+    assert widths == {0, 1, 2, 4, 8}
+    # entries whose one nonzero byte is byte k of their word, for each k
+    for width in (1, 2, 4, 8):
+        rights = [[0], [(1 << (8 * width - 1)) - 1]] + [[1 << (8 * k)] for k in range(width)]
+        assert _packed_rows([[1]], rights)[0] == width
+        table = _products([[1]], rights)
+        assert table == _dot_table([[1]], rights)
+        assert _products_and_masks([[1]], rights) == (table, _nonzero_masks(table))
 
 
 def test_pair_gram_on_the_window_systems():
@@ -423,6 +489,8 @@ def test_pair_gram_on_the_window_systems():
         assert len(system) == count
         duals = [model.dual(c) for c in system.curves]
         assert system.pair_gram == _dot_table(duals, [c.coeffs for c in system.curves])
+        assert system.masks == _nonzero_masks(system.pair_gram)
+        assert all(mask >> i & 1 for i, mask in enumerate(system.masks))
 
 
 def test_pair_gram_refuses_a_foreign_curve():
