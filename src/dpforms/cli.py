@@ -12,13 +12,16 @@ subcommand's text renderer, an aligned table that reads only the document.
 Output is deterministic: identical argv yields byte-identical output.
 
 Exit codes: 0 on success, 1 on invalid input or infeasible parameters,
-2 on an internal invariant violation or a failed `verify` run.
+2 on an internal invariant violation or a failed `verify` run.  A reader
+that closes stdout early (``dpforms curves ... | head -1``) ends the run
+with exit 1 and nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -58,7 +61,7 @@ from .sections import (
     poly_text,
     primitive_integer_form,
 )
-from .verdicts import classify
+from .verdicts import Verdict, classify
 from .verification import run_all
 
 # input caps: the window grows with --bound, a census with m where n >= m+4,
@@ -121,6 +124,15 @@ def _verdict_pairs(document: dict) -> list[tuple[str, str]]:
         ("citations", " ".join(document["citations"]) or "-"),
     ]
     return pairs + [("note", note) for note in document["notes"]]
+
+
+def _verdict_doc(verdict: Verdict) -> dict:
+    return {
+        "rational": str(verdict.rational),
+        "cylindrical": str(verdict.cylindrical),
+        "citations": verdict.citations,
+        "notes": verdict.notes,
+    }
 
 
 def _check_m(m: int, n: int | None = None) -> None:
@@ -365,10 +377,10 @@ def _cmd_ell(args: argparse.Namespace) -> dict:
         "witness_orbits": [[i + 1 for i in orbit] for orbit in result.witness_orbits],
     }
     if "q_point" in instance:
-        verdict_args = argparse.Namespace(m=model.m, n=model.n, q_point=instance["q_point"],
-                                          ell=result.ell if model.n >= model.m + 4 else None)
+        ell = result.ell if model.n >= model.m + 4 else None
         try:
-            doc["verdict"] = _cmd_classify(verdict_args)
+            doc["verdict"] = _verdict_doc(classify(model.m, model.n, ell=ell,
+                                                   q_point=instance["q_point"]))
         except ToolkitError as exc:
             doc["verdict"] = {"error": str(exc)}
     return doc
@@ -396,13 +408,7 @@ def _show_ell(doc: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
-    verdict = classify(args.m, args.n, ell=args.ell, q_point=args.q_point)
-    return {
-        "rational": str(verdict.rational),
-        "cylindrical": str(verdict.cylindrical),
-        "citations": verdict.citations,
-        "notes": verdict.notes,
-    }
+    return _verdict_doc(classify(args.m, args.n, ell=args.ell, q_point=args.q_point))
 
 
 def _show_classify(doc: dict) -> None:
@@ -632,7 +638,15 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -6,8 +6,8 @@ number against the negative section Q.  Every curve's basis and length are
 checked first; its dual row (gram . v), its anticanonical degree and its
 Q-incidence then come from `lattice._products` tables over all curves at
 once, and every pairing is a dual row times a raw coefficient vector: the
-whole Gram table is one call of `lattice._products_and_masks`, which packs
-the coefficient vectors by Kronecker substitution and reads, from the same
+whole Gram table is one more `lattice._products` call, which packs the
+coefficient vectors by Kronecker substitution and reads, from the same
 packed bytes, each curve's mask: its own bit plus the bits of the curves it
 meets (``CurveSystem.masks``).
 
@@ -52,7 +52,7 @@ from operator import itemgetter, mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import DivisorClass, SurfaceModel, _products, _products_and_masks, integral
+from .lattice import DivisorClass, SurfaceModel, _products, integral
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -65,8 +65,8 @@ class CurveSystem:
     length; then, curve by curve, a member that is not a (-1)-class
     (self-intersection -1, anticanonical degree 1) or repeats an earlier one;
     then negative Q-incidence.  Dual rows, degrees and Q-incidences are
-    `_products` tables over all members; ``pair_gram`` and ``masks`` come
-    from one `_products_and_masks` table."""
+    `_products` tables over all members; ``pair_gram`` and ``masks`` are
+    the table and the masks of one more."""
 
     model: SurfaceModel
     curves: tuple[DivisorClass, ...]
@@ -80,9 +80,9 @@ class CurveSystem:
         for c in self.curves:
             model._owned(c)
         coeffs = [c.coeffs for c in self.curves]
-        duals = tuple(zip(*_products(model.gram, coeffs)))
+        duals = tuple(zip(*_products(model.gram, coeffs)[0]))
         degrees, q_incidence = _products(
-            [model.dual(model.anticanonical), model.dual(model.distinguished["Q"])], coeffs)
+            [model.dual(model.anticanonical), model.dual(model.distinguished["Q"])], coeffs)[0]
         # a stable sort puts each repeat right after its first occurrence; a
         # set would hash vectors that differ by -1/-2 entries alike
         order = sorted(range(len(coeffs)), key=coeffs.__getitem__)
@@ -116,7 +116,7 @@ class CurveSystem:
 
     @cached_property
     def _gram_and_masks(self) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        return _products_and_masks(self._duals, [c.coeffs for c in self.curves])
+        return _products(self._duals, [c.coeffs for c in self.curves])
 
 
 def build_curve_system(model: SurfaceModel, curves: list[DivisorClass]) -> CurveSystem:

@@ -27,10 +27,11 @@ big integers read back as W-byte words.  A column packs in C: one
 ``struct.pack`` writes its entries, each offset by 2^(8W-1), as unsigned
 native W-byte words, and those bytes, read as one integer, lose the N offsets
 in one subtraction.  Entries and coefficients that may pass 8 bytes (from
-about 2^28 up) take a dot product each.  `_packed_rows` is that packing
-core, and only it knows the byte layout: `_products` reads each row's words
-as ints, and `_products_and_masks` also reads from the same bytes, per row,
-the bitmask of its nonzero entries (``CurveSystem.masks``).
+about 2^28 up) take a dot product each.  `_products` is the one kernel, and
+only it knows the byte layout: from each packed row it reads the row's words
+as ints and the bitmask of its nonzero entries (``CurveSystem.masks``), so
+it returns every table with its masks, and a caller that needs only the
+table drops them.
 """
 
 from __future__ import annotations
@@ -157,20 +158,11 @@ class SurfaceModel:
         signature and determinant both read them."""
         return tuple(_pivots(self.gram))
 
-    @cached_property
-    def _gram_entries(self) -> tuple[tuple[int, int, int], ...]:
-        # the nonzero entries (i, j, g_ij): at most rank + 2 of them
-        return tuple((i, j, x) for i, row in enumerate(self.gram) for j, x in enumerate(row) if x)
-
     def dual(self, cls: DivisorClass) -> tuple[int, ...]:
         """The dual row gram . v of a class v of this model: v.w is
         ``sum(map(mul, dual(v), w.coeffs))`` for every class w of this model."""
         self._owned(cls)
-        v = cls.coeffs
-        row = [0] * self.rank
-        for i, j, x in self._gram_entries:
-            row[i] += x * v[j]
-        return tuple(row)
+        return tuple(sum(map(mul, row, cls.coeffs)) for row in self.gram)
 
     def intersect(self, a: DivisorClass, b: DivisorClass) -> int:
         row = self.dual(a)
@@ -213,54 +205,34 @@ class SurfaceModel:
         return named
 
 
-def _packed_rows(lefts, rights):
-    """(W, rows) for the table of ``sum(map(mul, d, w))`` over d in lefts and w
-    in rights, by Kronecker substitution in the least W of 1, 2, 4, 8 bytes
-    that holds every entry and every coefficient as a signed digit: rows
-    yields each row's raw bytes, entry j the two's complement W-byte word at
-    bytes [jW, (j+1)W) in native order.  Past 8 bytes W is 0 and rows yields
-    each row as a tuple of dot products."""
+def _products(lefts, rights) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """(table, masks): the table of ``sum(map(mul, d, w))`` over d in lefts
+    and w in rights and, per row, the int whose bit j is set iff entry j is
+    nonzero.  W is the least of 1, 2, 4, 8 bytes that holds every entry and
+    every coefficient as a signed digit, and entry j of a packed row is the
+    two's complement W-byte word at bytes [jW, (j+1)W) in native order.  A
+    mask reads the same bytes: the OR of their W byte-strided slices has one
+    byte per entry, which `_NONZERO` spells as binary digits, last entry
+    first.  Past 8 bytes W is 0 and each entry is a dot product."""
     tops = [max(map(abs, col)) for col in zip(*rights)]
     bound = max(max(sum(map(mul, map(abs, d), tops)) for d in lefts), *tops)
     width = next((w for w in (1, 2, 4, 8) if bound < 1 << (8 * w - 1)), 0)
     if not width:
-        return 0, (tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
-    n, half = len(rights), 1 << (8 * width - 1)
+        table = tuple(tuple(sum(map(mul, d, w)) for w in rights) for d in lefts)
+        return table, tuple(sum(1 << j for j, x in enumerate(row) if x) for row in table)
+    n, half, code = len(rights), 1 << (8 * width - 1), _WORD_CODES[width]
     # +2^(8W-1) per digit leaves none negative: bias is that offset on all n digits
     bias = int.from_bytes((b"\x80" + bytes(width - 1)) * n, "big")
-    words = f"{n}{_WORD_CODES[width].upper()}"
-    packed = [int.from_bytes(pack(words, *map(half.__add__, col)), sys.byteorder) - bias
-              for col in zip(*rights)]
-    # the XOR turns each biased digit of a row into its W-byte two's complement
-    return width, (((sum(map(mul, d, packed)) + bias) ^ bias).to_bytes(n * width, sys.byteorder)
-                   for d in lefts)
-
-
-def _products(lefts, rights) -> tuple[tuple[int, ...], ...]:
-    """The table of ``sum(map(mul, d, w))`` for d in lefts and w in rights,
-    read off `_packed_rows`."""
-    width, rows = _packed_rows(lefts, rights)
-    if not width:
-        return tuple(rows)
-    code = _WORD_CODES[width]
-    return tuple(tuple(memoryview(row).cast(code)) for row in rows)
-
-
-def _products_and_masks(lefts, rights) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """``_products(lefts, rights)`` and, per row, the int whose bit j is set
-    iff entry j is nonzero.  A mask reads the row's bytes: the OR of its W
-    byte-strided slices has one byte per entry, which `_NONZERO` spells as
-    binary digits, last entry first."""
-    width, rows = _packed_rows(lefts, rights)
-    if not width:
-        table = tuple(rows)
-        return table, tuple(sum(1 << j for j, x in enumerate(row) if x) for row in table)
-    code, table, masks = _WORD_CODES[width], [], []
-    for row in rows:
+    packed = [int.from_bytes(pack(f"{n}{code.upper()}", *map(half.__add__, col)),
+                             sys.byteorder) - bias for col in zip(*rights)]
+    table, masks = [], []
+    for d in lefts:
+        # the XOR turns each biased digit of the row into its W-byte two's complement
+        row = ((sum(map(mul, d, packed)) + bias) ^ bias).to_bytes(n * width, sys.byteorder)
         table.append(tuple(memoryview(row).cast(code)))
         if width > 1:
             row = reduce(or_, (int.from_bytes(row[k::width], "little") for k in range(width))
-                         ).to_bytes(len(row) // width, "little")
+                         ).to_bytes(n, "little")
         masks.append(int(row.translate(_NONZERO)[::-1], 2))
     return tuple(table), tuple(masks)
 

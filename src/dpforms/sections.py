@@ -374,6 +374,11 @@ class SplitValue:
     rational_pair: bool | None
 
 
+def _rational_split(source: str, root: Fraction | None, factor: str, residual: Fraction) -> SplitValue:
+    """The split value at a rational root (None at infinity) with its residual."""
+    return SplitValue(source, root, factor, 1, residual, is_rational_square(residual))
+
+
 @dataclass(frozen=True)
 class LineCensus:
     total_lines: int
@@ -409,52 +414,16 @@ def line_census(a_form: BinaryForm, b_form: BinaryForm) -> LineCensus:
         raise ParameterError("A and B must be coprime as binary forms")
 
     entries: list[SplitValue] = []
-    pairs = (("A", a_split, b_poly), ("B", b_split, a_poly))
-    for source, decomposition, other in pairs:
-        rational_entries = []
-        factor_entries = []
-        for factor, _mult in decomposition.factors:
-            if factor.degree == 1:
-                root = Fraction(-factor.coeffs[0], factor.coeffs[1])
-                residual = other(root)
-                rational_entries.append(
-                    SplitValue(
-                        source=source,
-                        root=root,
-                        factor=poly_text(factor),
-                        count=1,
-                        residual=residual,
-                        rational_pair=is_rational_square(residual),
-                    )
-                )
-            else:
-                factor_entries.append(
-                    SplitValue(
-                        source=source,
-                        root=None,
-                        factor=poly_text(factor),
-                        count=factor.degree,
-                        residual=None,
-                        rational_pair=None,
-                    )
-                )
-        rational_entries.sort(key=lambda e: e.root)
-        entries.extend(rational_entries)
-        entries.extend(factor_entries)
-
-    includes_infinity = a_form.at_infinity() == 0 or b_form.at_infinity() == 0
+    for source, split, other in (("A", a_split, b_poly), ("B", b_split, a_poly)):
+        linear = [(Fraction(-f.coeffs[0], f.coeffs[1]), f) for f, _ in split.factors if f.degree == 1]
+        entries += [_rational_split(source, root, poly_text(f), other(root))
+                    for root, f in sorted(linear, key=lambda rf: rf[0])]
+        entries += [SplitValue(source, None, poly_text(f), f.degree, None, None)
+                    for f, _ in split.factors if f.degree > 1]
+    a_top, b_top = a_form.at_infinity(), b_form.at_infinity()
+    includes_infinity = a_top == 0 or b_top == 0
     if includes_infinity:
-        residual = b_form.at_infinity() if a_form.at_infinity() == 0 else a_form.at_infinity()
-        entries.append(
-            SplitValue(
-                source="infinity",
-                root=None,
-                factor="infinity",
-                count=1,
-                residual=residual,
-                rational_pair=is_rational_square(residual),
-            )
-        )
+        entries.append(_rational_split("infinity", None, "infinity", b_top if a_top == 0 else a_top))
     total = 2 * sum(e.count for e in entries)
     return LineCensus(
         total_lines=total,

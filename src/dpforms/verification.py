@@ -103,13 +103,13 @@ def check_plane_census() -> CheckResult:
         ep = [named[f"E_{i}'"] for i in range(1, m + 5)]
         census = brute_force_minus_one_classes(model)
         # one row each for Q, E_1..E_{m+4}, E_1'..E_{m+4}': its pairings with the census
-        table = _products([model.dual(w) for w in [q, *e, *ep]], [c.coeffs for c in census])
+        table = _products([model.dual(w) for w in [q, *e, *ep]], [c.coeffs for c in census])[0]
         q_row, e_rows, ep_rows = table[0], table[1 : m + 5], table[m + 5 :]
         meeting = [c for c, x in zip(census, q_row) if x >= 1]
         if len(meeting) != 2 * m + 8:
             problems.append(f"m={m}: {len(meeting)} Q-meeting classes, expected {2 * m + 8}")
         meeting_set = {c.coeffs for c in meeting}
-        cross = _products([model.dual(x) for x in e], [x.coeffs for x in ep])
+        cross = _products([model.dual(x) for x in e], [x.coeffs for x in ep])[0]
         for i in range(m + 4):
             if e[i].coeffs not in meeting_set or ep[i].coeffs not in meeting_set:
                 problems.append(f"m={m}: distinguished pair {i + 1} missing from census")
@@ -162,7 +162,7 @@ def check_incidence_law() -> CheckResult:
         coeffs = [c.coeffs for c in census]
         if e0.coeffs not in coeffs:
             problems.append(f"m={m}: E_0 missing from the census window")
-        pairs = zip(*_products([model.dual(e0), model.dual(q)], coeffs))
+        pairs = zip(*_products([model.dual(e0), model.dual(q)], coeffs)[0])
         for c, pair in zip(census, pairs):
             if c.coeffs == e0.coeffs:
                 continue

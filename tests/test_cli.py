@@ -1,5 +1,6 @@
 """Command line behavior: output shape, exit codes, determinism."""
 
+import ast
 import json
 import os
 import subprocess
@@ -9,7 +10,13 @@ from pathlib import Path
 
 import pytest
 
-from dpforms import PLANE, build_model, curves_meeting_q, standard_curve_system
+from dpforms import (
+    PLANE,
+    InternalInvariantError,
+    build_model,
+    curves_meeting_q,
+    standard_curve_system,
+)
 from dpforms.cli import run
 from dpforms.verification import CheckResult
 
@@ -253,7 +260,7 @@ def test_classify_json(capsys):
     assert doc["citations"] == ["thm:m+4(3)"]
 
 
-def test_classify_exit_codes(capsys):
+def test_classify_exit_codes(capsys, monkeypatch):
     code, _, err = _capture(capsys, ["classify", "--m", "2", "--n", "6"])
     assert code == 1 and "ell is required" in err
     code, _, err = _capture(capsys, ["classify", "--m", "2", "--n", "6", "--ell", "5"])
@@ -262,6 +269,13 @@ def test_classify_exit_codes(capsys):
     assert code == 1
     code, _, err = _capture(capsys, ["nonsense"])
     assert code == 1
+
+    def broken(*args, **kwargs):
+        raise InternalInvariantError("a broken table")
+
+    monkeypatch.setattr("dpforms.cli.classify", broken)
+    code, out, err = _capture(capsys, ["classify", "--m", "3", "--n", "4"])
+    assert code == 2 and out == "" and err == "internal invariant violated: a broken table\n"
 
 
 def test_ell_instance_flow(tmp_path, capsys):
@@ -408,6 +422,21 @@ def test_cli_imports_only_the_standard_library():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_modules_use_every_name_they_import():
+    # __init__ imports its names to re-export them, so it alone is exempt
+    for path in sorted((SRC / "dpforms").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).partition(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
 def test_sections_ci(capsys):
     code, out, _ = _capture(capsys, ["sections", "ci", "--h", "1,0,0,0,0,0,1", "--json"])
     assert code == 0
@@ -428,6 +457,8 @@ def test_sections_ci(capsys):
     assert code == 1
     code, _, err = _capture(capsys, ["sections", "ci", "--h", "1,oops"])
     assert code == 1
+    code, _, err = _capture(capsys, ["sections", "ci", "--h", ","])
+    assert code == 1 and err == "error: empty coefficient list\n"
 
 
 def test_sections_lines(capsys):
@@ -453,6 +484,9 @@ def test_sections_lines(capsys):
     )
     code, _, err = _capture(capsys, ["sections", "lines", "--a", "1,0,0,0,1", "--b", "1,2,1"])
     assert code == 1 and "squarefree" in err
+    # a zero A passes the coefficient checks and is refused by line_census
+    code, _, err = _capture(capsys, ["sections", "lines", "--a", "0,0,0,0,0", "--b", "1,0,1"])
+    assert code == 1 and err == "error: A and B must be nonzero\n"
 
 
 def test_sections_negative_leading_coefficient(capsys):
@@ -574,6 +608,20 @@ def test_python_m_runs_cli(capsys, module):
     assert proc.returncode == 0
     assert proc.stdout == expected
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_closed_pipe_exits_quietly(json_flag):
+    # the (5,10) census prints 91 KB as text and 349 KB as JSON, more than a
+    # pipe buffer holds, so the writes after the reader closes fail
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    argv = [sys.executable, "-m", "dpforms", "curves", "--m", "5", "--n", "10", *json_flag]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 
 def test_exports_are_the_library_objects():

@@ -2,6 +2,7 @@
 
 import gc
 import random
+import struct
 from itertools import combinations
 from operator import mul
 
@@ -32,7 +33,8 @@ from dpforms import (
     standard_curve_system,
     validate_action,
 )
-from dpforms.lattice import _packed_rows, _products, _products_and_masks
+from dpforms import lattice
+from dpforms.lattice import _products
 from dpforms.verification import _random_plane_action
 
 
@@ -444,11 +446,24 @@ def _nonzero_masks(table):
     return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in table)
 
 
-def test_products_are_the_dot_products():
+def test_products_are_the_dot_products(monkeypatch):
     # the largest |entry| lands on the top of a W-byte signed digit (W = 1,
     # 2, 4, 8) or one past it, which takes the next width or the plain sums;
     # a coordinate every left row zeroes holds entries up to the bound, or up
     # to 2^70, which takes the plain sums
+    codes = []  # the word code of every column `_products` packs; none for W = 0
+    monkeypatch.setattr(lattice, "pack", lambda fmt, *xs: codes.append(fmt[-1]) or
+                        struct.pack(fmt, *xs))
+
+    def checked(lefts, rights):
+        """The table of `_products`, checked with its masks, and the W it packed at."""
+        codes.clear()
+        table, masks = _products(lefts, rights)
+        assert table == _dot_table(lefts, rights)
+        assert masks == _nonzero_masks(table)
+        assert len(set(codes)) <= 1
+        return table, struct.calcsize(codes[0]) if codes else 0
+
     rng = random.Random(12)
     widths = set()
     for bits in (7, 15, 31, 63):
@@ -467,19 +482,14 @@ def test_products_are_the_dot_products():
                 lefts = [d] + [[x * rng.choice((-1, 0, 1)) for x in d]
                                for _ in range(rng.randint(0, 5))]
                 rng.shuffle(lefts)
-                table = _products(lefts, rights)
-                assert table == _dot_table(lefts, rights), (bits, bound)
-                assert max(abs(x) for row in table for x in row) == bound
-                assert _products_and_masks(lefts, rights) == (table, _nonzero_masks(table))
-                widths.add(_packed_rows(lefts, rights)[0])
+                table, width = checked(lefts, rights)
+                assert max(abs(x) for row in table for x in row) == bound, (bits, bound)
+                widths.add(width)
     assert widths == {0, 1, 2, 4, 8}
     # entries whose one nonzero byte is byte k of their word, for each k
     for width in (1, 2, 4, 8):
         rights = [[0], [(1 << (8 * width - 1)) - 1]] + [[1 << (8 * k)] for k in range(width)]
-        assert _packed_rows([[1]], rights)[0] == width
-        table = _products([[1]], rights)
-        assert table == _dot_table([[1]], rights)
-        assert _products_and_masks([[1]], rights) == (table, _nonzero_masks(table))
+        assert checked([[1]], rights)[1] == width
 
 
 def test_pair_gram_on_the_window_systems():

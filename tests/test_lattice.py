@@ -109,6 +109,10 @@ def test_unimodular_and_signature():
 def test_signature_of_plain_matrix():
     assert signature_of(((2, 0), (0, -3))) == (1, 1)
     assert signature_of(((0, 1), (1, 0))) == (1, 1)
+    with pytest.raises(ParameterError, match="must be square"):
+        signature_of(((1, 2),))
+    with pytest.raises(ParameterError, match="must be symmetric"):
+        signature_of(((0, 1), (2, 0)))
 
 
 def _sign_changes(coeffs) -> int:
@@ -267,6 +271,10 @@ def test_one_parameter_guard():
     for call in (lambda j: correction_residue(3, j), lambda j: h0_anti_plurigenus(3, 7, j)):
         with pytest.raises(ParameterError, match=r"^j must be an integer, got 1\.9$"):
             call(1.9)
+    # values int() refuses are refused alike, by name
+    for bad, text in (("x", "'x'"), (None, "None"), (float("inf"), "inf")):
+        with pytest.raises(ParameterError, match=rf"^m must be an integer, got {text}$"):
+            lattice.integral("m", bad)
 
 
 def test_is_del_pezzo_matches_the_table():

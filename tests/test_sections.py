@@ -17,7 +17,7 @@ from dpforms import (
     poly_text,
     rational_roots,
 )
-from dpforms.sections import _divisors
+from dpforms.sections import _divisors, poly_divmod, primitive_integer_form
 
 
 def test_poly_basics():
@@ -29,6 +29,12 @@ def test_poly_basics():
     product = p * poly([0, 1])
     assert product.coeffs == (0, 1, 0, -1)
     assert poly([0]).degree == -1
+    assert poly_text(poly(())) == "0"
+    assert (poly([1, 1]) * poly(())).is_zero
+    with pytest.raises(ZeroDivisionError):
+        poly_divmod(poly([1]), poly(()))
+    with pytest.raises(ParameterError):
+        primitive_integer_form(poly(()))
 
 
 def test_poly_normal_form_on_construction():
@@ -97,6 +103,8 @@ def test_factorization_certified():
     assert result.complete
     texts = [(poly_text(f, "a"), k) for f, k in result.factors]
     assert texts == [("a - 2", 1), ("a + 2", 1), ("a^2 + 1", 1), ("a^4 - a^2 + 1", 1)]
+    with pytest.raises(ParameterError):
+        factor_over_rationals(poly(()))
 
 
 def test_factorization_unresolved():
