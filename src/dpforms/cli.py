@@ -99,10 +99,11 @@ class _Parser(argparse.ArgumentParser):
         raise ParameterError(message)
 
 
-def _print_kv(pairs: list[tuple[str, str]]) -> None:
-    width = max(len(key) for key, _ in pairs)
-    for key, value in pairs:
-        print(f"{key:<{width}}  {value}")
+def _print_table(rows, align: str = "<", indent: str = "") -> None:
+    """Cells in columns two spaces apart, each as wide as its widest cell; lines right-stripped."""
+    widths = [max(map(len, column)) for column in zip(*rows)]
+    for row in rows:
+        print((indent + "  ".join(f"{c:{align}{w}}" for c, w in zip(row, widths))).rstrip())
 
 
 def _emit(payload: dict) -> None:
@@ -195,7 +196,7 @@ def _cmd_lattice(args: argparse.Namespace) -> dict:
 
 
 def _show_lattice(doc: dict) -> None:
-    _print_kv([
+    _print_table([
         ("model", _model_tag(doc)),
         ("rank", str(doc["rank"])),
         ("basis", " ".join(doc["basis"])),
@@ -246,11 +247,11 @@ def _show_curves(doc: dict) -> None:
         ("certified", "yes" if doc["certified"] else "no (window census)"),
     ]
     if "classes" in doc:
-        _print_kv(pairs + [("Q-meeting classes", str(doc["count"]))])
+        _print_table(pairs + [("Q-meeting classes", str(doc["count"]))])
         for coeffs in doc["classes"]:
             print(f"  {coeffs}")
         return
-    _print_kv(pairs + [("total", str(doc["total"]))])
+    _print_table(pairs + [("total", str(doc["total"]))])
     for fam in doc["families"]:
         tag = f" d={fam['degree']}" if fam["degree"] is not None else ""
         print(f"family {fam['label']}{tag} ({fam['count']} classes)")
@@ -286,11 +287,9 @@ def _cmd_rr(args: argparse.Namespace) -> dict:
 def _show_rr(doc: dict) -> None:
     if "rows" in doc:
         print(f"model hirzebruch(m={doc['m']},n={doc['n']})")
-        cells = [("j", "t", "correction", "h0")]
-        cells += [(str(r["j"]), str(r["residue"]), r["correction"], str(r["h0"])) for r in doc["rows"]]
-        widths = [max(len(row[i]) for row in cells) for i in range(4)]
-        for row in cells:
-            print("  ".join(f"{row[i]:>{widths[i]}}" for i in range(4)))
+        _print_table([("j", "t", "correction", "h0")] + [
+            (str(r["j"]), str(r["residue"]), r["correction"], str(r["h0"])) for r in doc["rows"]
+        ], align=">")
     if "embedding" in doc:
         embedding = doc["embedding"]
         weights = ",".join(str(w) for w in embedding["weights"])
@@ -404,7 +403,7 @@ def _show_ell(doc: dict) -> None:
         pairs.append(("verdict", f"unavailable: {verdict['error']}"))
     elif verdict is not None:
         pairs += _verdict_pairs(verdict)
-    _print_kv(pairs)
+    _print_table(pairs)
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
@@ -412,7 +411,7 @@ def _cmd_classify(args: argparse.Namespace) -> dict:
 
 
 def _show_classify(doc: dict) -> None:
-    _print_kv(_verdict_pairs(doc))
+    _print_table(_verdict_pairs(doc))
 
 
 def _cmd_sections_ci(args: argparse.Namespace) -> dict:
@@ -459,7 +458,7 @@ def _show_sections_ci(doc: dict) -> None:
         parts.append(text if f["multiplicity"] == 1 else f"{text}^{f['multiplicity']}")
     if doc["unresolved"] is not None:
         parts.append(f"[no factor found within method: {doc['unresolved']}]")
-    _print_kv([
+    _print_table([
         ("p(a)", doc["polynomial"]),
         ("degree", str(doc["degree"])),
         ("rational roots", roots_text or "none"),
@@ -490,19 +489,16 @@ def _cmd_sections_lines(args: argparse.Namespace) -> dict:
 
 
 def _show_sections_lines(doc: dict) -> None:
-    _print_kv([
+    _print_table([
         ("total lines", str(doc["total"])),
         ("infinity section", "yes" if doc["infinity_section"] else "no"),
     ])
     print("split values:")
-    cells = [("source", "root", "count", "c", "rational pair", "factor")] + [
+    _print_table([("source", "root", "count", "c", "rational pair", "factor")] + [
         (split["source"], split["root"] or "-", str(split["count"]), split["c"] or "-",
          {True: "yes", False: "no", None: "-"}[split["rational_pair"]], split["factor"])
         for split in doc["splits"]
-    ]
-    widths = [max(len(row[i]) for row in cells) for i in range(6)]
-    for row in cells:
-        print("  " + "  ".join(f"{row[i]:<{widths[i]}}" for i in range(6)).rstrip())
+    ], indent="  ")
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
@@ -526,11 +522,8 @@ def _cmd_verify(args: argparse.Namespace) -> dict:
 
 def _show_verify(doc: dict) -> None:
     results = doc["results"]
-    tag_width = max(len(r["tag"]) for r in results)
-    for r in results:
-        mark = "PASS" if r["passed"] else "FAIL"
-        pad = " " * (tag_width - len(r["tag"]))
-        print(f"{mark}  {r['number']}  [{r['tag']}]{pad}  {r['title']}: {r['detail']}")
+    _print_table([("PASS" if r["passed"] else "FAIL", str(r["number"]), f"[{r['tag']}]",
+                   f"{r['title']}: {r['detail']}") for r in results])
     if doc["passed"]:
         print(f"all {len(results)} checks passed")
     else:

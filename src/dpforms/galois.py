@@ -3,13 +3,13 @@
 A curve system indexes a finite list of (-1)-classes on one surface model and
 caches their pairwise intersections together with each curve's intersection
 number against the negative section Q.  Every curve's basis and length are
-checked first; its dual row (gram . v), its anticanonical degree and its
-Q-incidence then come from `lattice._products` tables over all curves at
-once, and every pairing is a dual row times a raw coefficient vector: the
-whole Gram table is one more `lattice._products` call, which packs the
-coefficient vectors by Kronecker substitution and reads, from the same
-packed bytes, each curve's mask: its own bit plus the bits of the curves it
-meets (``CurveSystem.masks``).
+checked first; the dual rows (gram . v) then come from one `lattice._products`
+table over all curves, and every pairing is a dual row times a raw coefficient
+vector: a curve's square, anticanonical degree and Q-incidence are three dot
+products off its dual row, and the whole Gram table is one more
+`lattice._products` call, which packs the coefficient vectors by Kronecker
+substitution and reads, from the same packed bytes, each curve's mask: its own
+bit plus the bits of the curves it meets (``CurveSystem.masks``).
 
 A Galois action is given by finitely many generators, each a permutation of
 the curve indices written as a 1-based image list (an infinite Galois group
@@ -47,12 +47,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import chain, pairwise
+from itertools import pairwise
 from operator import itemgetter, mul, or_
 
 from .curves import curves_meeting_q
 from .errors import InvalidActionError, ParameterError, SystemSizeError
-from .lattice import DivisorClass, SurfaceModel, _products, integral
+from .lattice import DivisorClass, SurfaceModel, _products, integers, integral
 
 BRUTE_FORCE_LIMIT = 24
 
@@ -64,9 +64,9 @@ class CurveSystem:
     Construction refuses an empty family; then any member of another basis or
     length; then, curve by curve, a member that is not a (-1)-class
     (self-intersection -1, anticanonical degree 1) or repeats an earlier one;
-    then negative Q-incidence.  Dual rows, degrees and Q-incidences are
-    `_products` tables over all members; ``pair_gram`` and ``masks`` are
-    the table and the masks of one more."""
+    then negative Q-incidence.  The dual rows are one `_products` table over
+    all members; squares, degrees and Q-incidences are dot products off
+    them; ``pair_gram`` and ``masks`` are the table and the masks of one more."""
 
     model: SurfaceModel
     curves: tuple[DivisorClass, ...]
@@ -81,23 +81,24 @@ class CurveSystem:
             model._owned(c)
         coeffs = [c.coeffs for c in self.curves]
         duals = tuple(zip(*_products(model.gram, coeffs)[0]))
-        degrees, q_incidence = _products(
-            [model.dual(model.anticanonical), model.dual(model.distinguished["Q"])], coeffs)[0]
+        minus_k, q = model.anticanonical.coeffs, model.distinguished["Q"].coeffs
         # a stable sort puts each repeat right after its first occurrence; a
         # set would hash vectors that differ by -1/-2 entries alike
         order = sorted(range(len(coeffs)), key=coeffs.__getitem__)
         repeats = {b for a, b in pairwise(order) if coeffs[a] == coeffs[b]}
-        for i, (d, c, degree) in enumerate(zip(duals, coeffs, degrees)):
+        for i, (d, c) in enumerate(zip(duals, coeffs)):
             square = sum(map(mul, d, c))
             if square != -1:
                 raise ParameterError(f"curve {i + 1} has self-intersection {square}, expected -1")
+            degree = sum(map(mul, d, minus_k))
             if degree != 1:
                 raise ParameterError(f"curve {i + 1} has anticanonical degree {degree}, expected 1")
             if i in repeats:
                 raise ParameterError(f"curve {i + 1} duplicates an earlier curve")
-        for i, q in enumerate(q_incidence):
-            if q < 0:
-                raise ParameterError(f"curve {i + 1} has negative Q-incidence {q}")
+        q_incidence = tuple(sum(map(mul, d, q)) for d in duals)
+        for i, x in enumerate(q_incidence):
+            if x < 0:
+                raise ParameterError(f"curve {i + 1} has negative Q-incidence {x}")
         object.__setattr__(self, "_duals", duals)
         object.__setattr__(self, "q_incidence", q_incidence)
 
@@ -141,12 +142,8 @@ class GaloisAction:
         object.__setattr__(self, "degree", integral("degree", self.degree))
         if self.degree < 1:
             raise ParameterError(f"degree must be >= 1, got {self.degree}")
-        gens = tuple(map(tuple, self.generators))
-        # one pass over the types when every image is an int; else an
-        # integral value (2.0) is converted and a bool, 2.5 or "2" refused
-        if {*map(type, chain.from_iterable(gens))} - {int}:
-            gens = tuple(tuple(integral(f"generator {k + 1} image", x) for x in gen)
-                         for k, gen in enumerate(gens))
+        gens = tuple(integers(f"generator {k + 1} image", gen)
+                     for k, gen in enumerate(self.generators))
         object.__setattr__(self, "generators", gens)
         expected = list(range(1, self.degree + 1))
         for k, gen in enumerate(gens):
@@ -161,7 +158,7 @@ class GaloisAction:
 
     @classmethod
     def from_one_based(cls, degree: int, generators: list[list[int]]) -> GaloisAction:
-        return cls(degree=degree, generators=tuple(tuple(g) for g in generators))
+        return cls(degree, generators)
 
 
 def orbit_partition(action: GaloisAction) -> tuple[tuple[int, ...], ...]:
@@ -201,8 +198,8 @@ def validate_action(system: CurveSystem, action: GaloisAction) -> ValidationRepo
     A generator g is admissible iff pair_gram[g(i)][g(j)] = pair_gram[i][j]
     for all pairs and q_incidence[g(i)] = q_incidence[i] for all i.  All
     violations are reported, not just the first, in the pair order of
-    `itertools.combinations`; rows are compared whole, and only a row that
-    differs is scanned pair by pair.
+    `itertools.combinations`; rows are compared whole, and a row that differs
+    (one curve's always does: ``itemgetter`` gives an int) is scanned pair by pair.
     """
     if action.degree != len(system):
         raise ParameterError(
@@ -211,8 +208,6 @@ def validate_action(system: CurveSystem, action: GaloisAction) -> ValidationRepo
     gram = system.pair_gram
     qinc = system.q_incidence
     n = len(qinc)
-    if n == 1:  # the one permutation of one curve fixes it; itemgetter(0) gives no tuple
-        return ValidationReport(ok=True, violations=())
     violations: list[str] = []
     for k, gen in enumerate(action.generators):
         p = [img - 1 for img in gen]

@@ -65,15 +65,7 @@ class DivisorClass:
     coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.coeffs)
-        # one pass over the types when every coefficient is an int; else an
-        # integral value (2.0) is converted and a bool, 2.5 or "2" refused
-        if {*map(type, raw)} != {int}:
-            coeffs = tuple(map(int, raw))
-            if coeffs != raw or bool in map(type, raw):
-                raise ParameterError("divisor class coefficients must be integers")
-            raw = coeffs
-        object.__setattr__(self, "coeffs", raw)
+        object.__setattr__(self, "coeffs", integers("divisor class coefficient", self.coeffs))
 
     def _matched(self, other: "DivisorClass") -> None:
         if self.basis != other.basis:
@@ -252,6 +244,14 @@ def integral(name: str, value) -> int:
     if as_int is None or as_int != value or isinstance(value, bool):
         raise ParameterError(f"{name} must be an integer, got {value!r}")
     return as_int
+
+
+def integers(name: str, values) -> tuple[int, ...]:
+    """values as a tuple of ints: one type scan when all are ints, else `integral` on each."""
+    values = tuple(values)
+    if {*map(type, values)} - {int}:
+        values = tuple(integral(name, x) for x in values)
+    return values
 
 
 def check_mn(m: int, n: int | None = None) -> tuple[int, int | None]:

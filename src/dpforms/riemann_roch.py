@@ -15,7 +15,8 @@ so generic-looking closed forms that assume t != 0 fail exactly there.
 h^0 is exact integer arithmetic: 2m * chi = 2m + j(j+1) m K_X^2 + 2m c, with
 m K_X^2 = (m+2)^2 - nm from `lattice._m_k_squared`, must divide by 2m into a
 non-negative quotient, and anything else raises InternalInvariantError.
-Fractions remain only for the reported correction c.
+chi is h^0 only where K_X^2 > 0, so every other (m, n) is refused with a
+ParameterError first.  Fractions remain only for the reported correction c.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParameterError
-from .lattice import _m_k_squared, check_mn, integral, is_del_pezzo, k_squared_singular
+from .lattice import _m_k_squared, check_mn, integral
 
 
 def _nonnegative_j(j) -> int:
@@ -32,6 +33,12 @@ def _nonnegative_j(j) -> int:
     if j < 0:
         raise ParameterError(f"j must be >= 0, got {j}")
     return j
+
+
+def _require_del_pezzo(m: int, n: int, what: str) -> None:
+    if _m_k_squared(m, n) <= 0:
+        raise ParameterError(f"{what} need K_X^2 > 0; (m, n) = ({m}, {n}) has "
+                             f"K_X^2 = {Fraction(_m_k_squared(m, n), m)}")
 
 
 def correction_residue(m: int, j: int) -> int:
@@ -56,11 +63,12 @@ def correction_term(m: int, j: int) -> Fraction:
 def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
     """h^0 of -jK on the singular surface: 1 + j(j+1)/2 * K^2 + c(m, j).
 
-    On the surfaces in range the result is a dimension, so a non-integral
-    or negative value can only mean a broken invariant, and the guard
-    raises InternalInvariantError rather than rounding.
+    Refused where K_X^2 <= 0.  On the del Pezzo surfaces the result is a
+    dimension, so a non-integral or negative value can only mean a broken
+    invariant, and the guard raises InternalInvariantError rather than rounding.
     """
     m, n = check_mn(m, n)
+    _require_del_pezzo(m, n, "anti-plurigenera")
     j = _nonnegative_j(j)
     scale = 2 * m
     scaled = scale + j * (j + 1) * _m_k_squared(m, n) + _scaled_correction(m, (-2 * j) % m)
@@ -115,11 +123,7 @@ def anti_plurigenus_table(m: int, n: int, max_j: int) -> tuple[TableRow, ...]:
     max_j = integral("max_j", max_j)
     if max_j < 1:
         raise ParameterError(f"max_j must be >= 1, got {max_j}")
-    if not is_del_pezzo(m, n):
-        raise ParameterError(
-            f"anti-plurigenus tables need K_X^2 > 0; (m, n) = ({m}, {n}) has "
-            f"K_X^2 = {k_squared_singular(m, n)}"
-        )
+    _require_del_pezzo(*check_mn(m, n), "anti-plurigenus tables")
     rows = []
     for j in range(1, max_j + 1):
         rows.append(

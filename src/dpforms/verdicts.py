@@ -119,15 +119,14 @@ def classify(
             )
 
     yes, no, open_ = TriState.YES, TriState.NO, TriState.OPEN
+    yes_if_q_point = yes if q_point is yes else open_
 
     if n <= m + 1:
         return Verdict(q_point, yes, ("thm:intermediate(1)",), tuple(notes))
     if n == m + 2:
-        both = yes if q_point is yes else open_
-        return Verdict(both, both, ("thm:intermediate(2)",), tuple(notes))
+        return Verdict(yes_if_q_point, yes_if_q_point, ("thm:intermediate(2)",), tuple(notes))
     if n == m + 3:
-        cyl = yes if q_point is yes else open_
-        return Verdict(yes, cyl, ("thm:intermediate(3)",), tuple(notes))
+        return Verdict(yes, yes_if_q_point, ("thm:intermediate(3)",), tuple(notes))
 
     assert ell is not None
     if n == m + 4:
@@ -136,8 +135,7 @@ def classify(
         if ell == m + 1:
             return Verdict(yes, yes, ("thm:m+4(3)",), tuple(notes))
         if ell == m + 2:
-            both = yes if q_point is yes else open_
-            return Verdict(both, both, ("thm:m+4(4)",), tuple(notes))
+            return Verdict(yes_if_q_point, yes_if_q_point, ("thm:m+4(4)",), tuple(notes))
         both = yes if m % 2 == 1 else open_
         return Verdict(both, both, ("thm:m+4(5)",), tuple(notes))
 
@@ -146,7 +144,5 @@ def classify(
     if ell in (m + 2, m + 6):
         return Verdict(yes, yes, ("thm:m+5(3)",), tuple(notes))
     if ell == m + 3:
-        both = yes if q_point is yes else open_
-        return Verdict(both, both, ("thm:m+5(4)",), tuple(notes))
-    cyl = yes if q_point is yes else open_
-    return Verdict(yes, cyl, ("thm:m+5(5)",), tuple(notes))
+        return Verdict(yes_if_q_point, yes_if_q_point, ("thm:m+5(4)",), tuple(notes))
+    return Verdict(yes, yes_if_q_point, ("thm:m+5(5)",), tuple(notes))

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from operator import mul
 
 from .curves import (
     PLANE_DEGREE,
@@ -162,13 +163,14 @@ def check_incidence_law() -> CheckResult:
         coeffs = [c.coeffs for c in census]
         if e0.coeffs not in coeffs:
             problems.append(f"m={m}: E_0 missing from the census window")
-        pairs = zip(*_products([model.dual(e0), model.dual(q)], coeffs)[0])
-        for c, pair in zip(census, pairs):
-            if c.coeffs == e0.coeffs:
+        e0_row, q_row = model.dual(e0), model.dual(q)
+        for c in coeffs:
+            if c == e0.coeffs:
                 continue
             checked += 1
+            pair = (sum(map(mul, e0_row, c)), sum(map(mul, q_row, c)))
             if pair not in ((1, 0), (0, 1)):
-                problems.append(f"m={m}: class {c.coeffs} has (E.E_0, E.Q) = {pair}")
+                problems.append(f"m={m}: class {c} has (E.E_0, E.Q) = {pair}")
     return _result(3, "lem:e0", "n = m+5 incidence law against E_0", problems, checked)
 
 

@@ -8,10 +8,17 @@ pass/fail line is printed per criterion; stated runtime budgets are
 enforced where the criterion gives one.
 """
 
+import dataclasses
 import time
+from fractions import Fraction
 
 from dpforms import verification
+from dpforms.curves import distinguished_e0
+from dpforms.galois import EllResult, GaloisAction, build_curve_system, standard_curve_system
+from dpforms.lattice import HIRZEBRUCH, PLANE, build_model
+from dpforms.verdicts import TriState
 from dpforms.verification import (
+    _witness_ok,
     check_anti_plurigenus,
     check_census_equivalence,
     check_ell_engine,
@@ -102,3 +109,95 @@ def test_census_checks_fail_on_corrupted_input(monkeypatch):
     monkeypatch.setattr(verification, "h0_anti_plurigenus", lambda m, n, j: h0(m, n, j) + 1)
     result = check_anti_plurigenus()
     assert not result.passed and "h0(-K) != 2 at m=3" in result.detail
+
+
+def _fails(check, detail):
+    result = check()
+    assert not result.passed and detail in result.detail, result.detail
+
+
+def test_check_1_fails_when_the_closed_form_drops_a_member(monkeypatch):
+    family_classes = verification.family_classes
+    monkeypatch.setattr(verification, "family_classes", lambda fams: family_classes(fams)[:-1])
+    _fails(check_census_equivalence, "(m=2, n=1): closed form has 1 classes, search has 2")
+
+
+def test_check_5_fails_on_an_extra_degree(monkeypatch):
+    descriptor = verification.embedding_descriptor
+
+    def extra_degree(m):
+        desc = descriptor(m)
+        return dataclasses.replace(desc, degrees=desc.degrees + (1,))
+
+    monkeypatch.setattr(verification, "embedding_descriptor", extra_degree)
+    _fails(check_embedding, "m=2: descriptor ((1, 1, 1, 2), (4, 1)), expected ((1, 1, 1, 2), (4,))")
+
+
+def test_check_6_fails_on_a_wrong_verdict(monkeypatch):
+    classify = verification.classify
+
+    def open_at_4_5(m, n, ell=None, q_point=TriState.OPEN):
+        verdict = classify(m, n, ell, q_point)
+        return dataclasses.replace(verdict, rational=TriState.OPEN) if (m, n) == (4, 5) else verdict
+
+    monkeypatch.setattr(verification, "classify", open_at_4_5)
+    _fails(check_verdict_table, "classify(4, 5, q=yes) = open/yes")
+
+
+def test_check_7_fails_on_a_wrong_ell_or_witness(monkeypatch):
+    compute_ell = verification.compute_ell
+
+    def one_too_many(system, action):
+        result = compute_ell(system, action)
+        return dataclasses.replace(result, ell=result.ell + 1)
+
+    def foreign_curve(system, action):
+        result = compute_ell(system, action)
+        foreign = next(i for i in range(len(system)) if i not in result.witness)
+        return dataclasses.replace(result, witness=result.witness[:-1] + (foreign,))
+
+    monkeypatch.setattr(verification, "compute_ell", one_too_many)
+    _fails(check_ell_engine, "plane m=2 trivial: search 7 != oracle 6")
+    monkeypatch.setattr(verification, "compute_ell", foreign_curve)
+    _fails(check_ell_engine, "plane m=2 trivial: witness fails its own definition")
+
+
+def test_check_8_fails_on_an_extra_root(monkeypatch):
+    rational_roots = verification.rational_roots
+    monkeypatch.setattr(verification, "rational_roots",
+                        lambda p: {**rational_roots(p), Fraction(0): 1})
+    _fails(check_sections, "expected {-2, 2}")
+
+
+def test_check_9_fails_on_wrong_invariants(monkeypatch):
+    signature = verification.lattice_signature
+    monkeypatch.setattr(verification, "is_unimodular", lambda model: False)
+    _fails(check_lattice, "hirzebruch(m=2,n=1): not unimodular")
+    monkeypatch.undo()
+    monkeypatch.setattr(verification, "lattice_signature",
+                        lambda model: (signature(model)[0] + 1, signature(model)[1] - 1))
+    _fails(check_lattice, "hirzebruch(m=2,n=1): signature (2, 1)")
+
+
+def test_witness_check_refuses_each_broken_witness():
+    plane = standard_curve_system(build_model(2, 6, PLANE))  # E_1..E_6, then E_1'..E_6'
+    trivial = GaloisAction.trivial(12)
+    singles = tuple((i,) for i in range(6))
+    assert _witness_ok(plane, trivial, EllResult(6, tuple(range(6)), singles))
+    # the length differs from ell
+    assert not _witness_ok(plane, trivial, EllResult(5, tuple(range(6)), singles))
+    # the orbits do not partition the witness
+    assert not _witness_ok(plane, trivial, EllResult(6, tuple(range(6)), singles[:5]))
+    # E_1 meets E_1'
+    assert not _witness_ok(plane, trivial, EllResult(2, (0, 6), ((0,), (6,))))
+    # the six-cycle moves E_1 off the witness
+    cycle = GaloisAction(12, ((2, 3, 4, 5, 6, 1, 8, 9, 10, 11, 12, 7),))
+    assert not _witness_ok(plane, cycle, EllResult(1, (0,), ((0,),)))
+    # check 7's Hirzebruch (2,7) system: E_0, the F - E_i, then the E_i, which miss Q
+    model = build_model(2, 7, HIRZEBRUCH)
+    named = model.distinguished
+    curves = [distinguished_e0(model)] + [named["F"] - named[f"E_{i}"] for i in range(1, 8)]
+    curves += [named[f"E_{i}"] for i in range(1, 8)]
+    system = build_curve_system(model, curves)
+    assert system.q_incidence[8] == 0
+    assert not _witness_ok(system, GaloisAction.trivial(15), EllResult(1, (8,), ((8,),)))

@@ -219,9 +219,12 @@ def test_divisor_coefficients_integral():
     coeffs = model.divisor((2.0, Fraction(1), -1)).coeffs
     assert coeffs == (2, 1, -1) and all(type(x) is int for x in coeffs)
     # a bool is refused, as by `lattice.integral`, though True == 1
-    for bad in ((2.5, 0, 0), ("3", 0, 0), (True, 0, 0), (1, 0, False)):
-        with pytest.raises(ParameterError, match="must be integers"):
+    for bad in ((2.5, 0, 0), ("3", 0, 0), (True, 0, 0), (1, 0, False), ("x", 0, 0),
+                (None, 0, 0), (float("inf"), 0, 0), (0, float("nan"), 0)):
+        with pytest.raises(ParameterError, match="^divisor class coefficient must be an integer"):
             model.divisor(bad)
+    with pytest.raises(ParameterError, match=r"^divisor class coefficient must be an integer, got 2\.5$"):
+        model.divisor((1, 2.5, 0))
 
 
 def test_parameter_validation():

@@ -3,7 +3,9 @@
 Each ``$ dpforms ...`` line in a fenced block of README.md is run in-process
 and its stdout compared with the lines that follow it, up to the next
 command or the end of the block.  A line ``  ...`` stands for any run of
-lines.  ``ell`` examples read the README's instance document.
+lines.  ``ell`` examples read the README's instance document.  The
+``python`` block is executed, and its printed lines compared with its
+``#`` comments, where ", " separates the lines one print loop prints.
 """
 
 import re
@@ -51,3 +53,11 @@ def test_readme_example(command, expected, tmp_path, monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert re.fullmatch(_pattern(expected), out), out
+
+
+def test_readme_library_example(capsys):
+    code = next(body for lang, body in BLOCKS if lang == "python")
+    expected = [line for comment in re.findall(r"#\s*(.+)$", code, flags=re.M)
+                for line in comment.strip().split(", ")]
+    exec(compile(code, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == expected

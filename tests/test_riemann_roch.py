@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from dpforms import riemann_roch
 from dpforms import (
     InternalInvariantError,
     ParameterError,
@@ -109,24 +110,28 @@ def test_parameter_validation():
         embedding_descriptor(1)
 
 
-def test_invariant_guard_fires_outside_range():
-    with pytest.raises(InternalInvariantError):
+def test_invariant_guard_fires_outside_range(monkeypatch):
+    with pytest.raises(ParameterError, match=r"\(m, n\) = \(12, 17\) has K_X\^2 = -2/3$"):
         h0_anti_plurigenus(12, 17, 3)
+    # a broken correction makes chi fractional on a del Pezzo surface
+    monkeypatch.setattr(riemann_roch, "_scaled_correction", lambda m, t: 1)
+    with pytest.raises(InternalInvariantError, match="is not an integer"):
+        h0_anti_plurigenus(3, 7, 1)
 
 
 def test_integer_h0_equals_the_fraction_formula():
-    # the guard fires on the cells outside the del Pezzo range, e.g. (12, 17, 3)
-    fired = 0
+    # the del Pezzo cells match the formula; every other cell, e.g. (12, 17, 3), is refused
+    refused = 0
     for m in range(2, 31):
         for n in range(1, m + 6):
             for j in range(41):
+                if k_squared_singular(m, n) <= 0:
+                    refused += 1
+                    with pytest.raises(ParameterError, match="need K_X\\^2 > 0"):
+                        h0_anti_plurigenus(m, n, j)
+                    continue
                 value = (1 + Fraction(j * (j + 1), 2) * k_squared_singular(m, n)
                          + correction_term(m, j))
-                if value.denominator == 1 and value >= 0:
-                    got = h0_anti_plurigenus(m, n, j)
-                    assert type(got) is int and got == value, (m, n, j)
-                    continue
-                fired += 1
-                with pytest.raises(InternalInvariantError, match=f"= {value} is"):
-                    h0_anti_plurigenus(m, n, j)
-    assert fired
+                got = h0_anti_plurigenus(m, n, j)
+                assert type(got) is int and got == value, (m, n, j)
+    assert refused
