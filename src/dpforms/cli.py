@@ -76,11 +76,11 @@ MAX_J = 1000
 # the divisor searches behind factor_over_rationals grow with the number of
 # divisors of the coefficients and of the values at +-1 and +-2; the slowest
 # quartic found at this cap, with lead and constant of 240 divisors each,
-# takes about 0.7 s (a prime c in x^4 + c y^4 takes milliseconds)
+# takes about 0.8 s cold (a prime c in x^4 + c y^4 takes milliseconds)
 MAX_SECTIONS_COEFF = 10**6
 # the rational-root candidates are evaluated at a cost linear in the degree;
 # the slowest h found at both caps, 244530, 1, ..., 1, 199520, 1, 299880 of
-# degree 16 (6,720 candidate pairs), takes about 0.3 s cold
+# degree 16 (6,720 candidate pairs), takes about 0.2 s cold
 MAX_SECTIONS_DEGREE = 16
 # a coefficient list is sized before Fraction() reads it, as its digits plus |K|
 # for each exponent eK: Fraction("1e10000000") takes seconds, and a primitive
@@ -286,7 +286,7 @@ def _cmd_rr(args: argparse.Namespace) -> dict:
 
 def _show_rr(doc: dict) -> None:
     if "rows" in doc:
-        print(f"model hirzebruch(m={doc['m']},n={doc['n']})")
+        print("model", _model_tag({"kind": HIRZEBRUCH, **doc}))
         _print_table([("j", "t", "correction", "h0")] + [
             (str(r["j"]), str(r["residue"]), r["correction"], str(r["h0"])) for r in doc["rows"]
         ], align=">")

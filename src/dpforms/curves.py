@@ -54,9 +54,14 @@ class SearchBox:
     intervals: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        try:
+            pairs = [(lo, hi) for lo, hi in self.intervals]
+        except (TypeError, ValueError):
+            raise ParameterError(
+                f"search box intervals must be (lo, hi) pairs, got {self.intervals!r}") from None
         object.__setattr__(self, "intervals", tuple(
             (integral("search box bound", lo), integral("search box bound", hi))
-            for lo, hi in self.intervals))
+            for lo, hi in pairs))
 
     def enlarged(self, pad: int = 1) -> "SearchBox":
         return SearchBox(tuple((lo - pad, hi + pad) for lo, hi in self.intervals))

@@ -44,7 +44,7 @@ from math import prod
 from operator import mul, or_
 from struct import pack
 
-from .errors import BasisMismatchError, ParameterError
+from .errors import BasisMismatchError, InternalInvariantError, ParameterError
 
 HIRZEBRUCH = "hirzebruch"
 PLANE = "plane"
@@ -87,11 +87,21 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A Picard-lattice model for the resolution of the surface with parameters (m, n)."""
+    """A Picard-lattice model of the resolved (m, n) surface; construction refuses
+    what `check_mn` refuses, kinds outside KINDS and a plane basis off n = m+4."""
 
     m: int
     n: int
     kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in KINDS:
+            raise ParameterError(f"unknown basis kind {self.kind!r}; expected one of {KINDS}")
+        m, n = check_mn(self.m, self.n)
+        if self.kind == PLANE and n != m + 4:
+            raise ParameterError(f"plane basis requires n = m+4 = {m + 4}, got n = {n}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
 
     @property
     def rank(self) -> int:
@@ -181,19 +191,12 @@ class SurfaceModel:
             for i in range(1, self.n + 1):
                 named[f"E_{i}"] = self.basis_class(i + 1)
         else:
-            r = self.rank
-            for j in range(r):
-                named[f"e_{j}"] = self.basis_class(j)
-            q = [2] + [-1] * (self.m + 4) + [0]
-            named["Q"] = self.divisor(q)
-            last = r - 1
+            e = [self.basis_class(j) for j in range(self.rank)]
+            named.update((f"e_{j}", c) for j, c in enumerate(e))
+            named["Q"] = self.divisor([2] + [-1] * (self.m + 4) + [0])
             for i in range(1, self.m + 5):
-                named[f"E_{i}"] = self.basis_class(i)
-                prime = [0] * r
-                prime[0] = 1
-                prime[i] = -1
-                prime[last] = -1
-                named[f"E_{i}'"] = self.divisor(prime)
+                named[f"E_{i}"] = e[i]
+                named[f"E_{i}'"] = e[0] - e[i] - e[-1]
         return named
 
 
@@ -268,15 +271,8 @@ def check_mn(m: int, n: int | None = None) -> tuple[int, int | None]:
 
 
 def build_model(m: int, n: int, kind: str = HIRZEBRUCH) -> SurfaceModel:
-    """Construct and validate a lattice model.
-
-    m >= 2; 1 <= n <= m+5; the plane basis exists only for n = m+4.
-    """
-    if kind not in KINDS:
-        raise ParameterError(f"unknown basis kind {kind!r}; expected one of {KINDS}")
-    m, n = check_mn(m, n)
-    if kind == PLANE and n != m + 4:
-        raise ParameterError(f"plane basis requires n = m+4 = {m + 4}, got n = {n}")
+    """The lattice model of (m, n) in the given basis, Hirzebruch by default;
+    `SurfaceModel` validates its parameters on construction."""
     return SurfaceModel(m=m, n=n, kind=kind)
 
 
@@ -363,12 +359,11 @@ def lattice_signature(model: SurfaceModel) -> tuple[int, int]:
 
 
 def gram_determinant(model: SurfaceModel) -> int:
-    """Exact determinant of the Gram matrix: the product of its pivots, the
-    model's cached ones or, for any other object with a ``gram``, fresh ones."""
-    pivots = model.pivots if isinstance(model, SurfaceModel) else _pivots(model.gram)
-    det = prod(pivots, start=Fraction(1))
+    """Exact determinant of the model's Gram matrix, the product of its cached
+    pivots; a fractional product breaks an invariant (InternalInvariantError)."""
+    det = prod(model.pivots, start=Fraction(1))
     if det.denominator != 1:
-        raise AssertionError("integer matrix produced non-integer determinant")
+        raise InternalInvariantError("integer matrix produced non-integer determinant")
     return int(det)
 
 

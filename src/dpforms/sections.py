@@ -33,6 +33,14 @@ from .errors import ParameterError
 RationalLike = Fraction | int
 
 
+def _fractions(values) -> list[Fraction]:
+    """values as Fractions; a value Fraction() cannot read is a ParameterError."""
+    try:
+        return [Fraction(c) for c in values]
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ParameterError(f"coefficients must be rational numbers, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class UnivariatePoly:
     """Polynomial in one variable; coeffs[i] multiplies t^i.  Construction
@@ -41,7 +49,7 @@ class UnivariatePoly:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        coeffs = [Fraction(c) for c in self.coeffs]
+        coeffs = _fractions(self.coeffs)
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         object.__setattr__(self, "coeffs", tuple(coeffs))
@@ -140,7 +148,7 @@ class BinaryForm:
     def __post_init__(self) -> None:
         if not self.coeffs:
             raise ParameterError("a binary form needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(_fractions(self.coeffs)))
 
     @property
     def degree(self) -> int:

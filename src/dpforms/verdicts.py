@@ -32,12 +32,10 @@ class TriState(enum.Enum):
 def parse_tristate(text: str) -> TriState:
     """Parse yes/no/open; "unknown" is accepted as a synonym for open."""
     key = text.strip().lower()
-    if key == "unknown":
-        return TriState.OPEN
-    for state in TriState:
-        if key == state.value:
-            return state
-    raise ParameterError(f"expected yes, no, or unknown, got {text!r}")
+    try:
+        return TriState("open" if key == "unknown" else key)
+    except ValueError:
+        raise ParameterError(f"expected yes, no, or unknown, got {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -103,14 +101,12 @@ def classify(
         notes.append("m is odd, so the negative section has a rational point; q_point set to yes")
         q_point = TriState.YES
 
-    if n <= m + 3:
-        if ell is not None:
-            raise ParameterError(f"ell is undefined for n = {n} (needs n = m+4 or n = m+5)")
-    else:
-        if ell is None:
+    if ell is None:
+        if n >= m + 4:
             raise ParameterError(f"ell is required for n = {n}")
-        ell = integral("ell", ell)
+    else:
         allowed = feasible_ell(m, n)
+        ell = integral("ell", ell)
         if ell not in allowed:
             raise InfeasibleEllError(
                 f"ell = {ell} is not feasible for (m, n) = ({m}, {n}); "

@@ -355,3 +355,6 @@ def test_search_box_geometry():
             SearchBox(bad)
     with pytest.raises(ParameterError):
         minus_one_census(build_model(4, 9), 0.5)
+    for bad in (((0, 1, 2),), (5,), ((0,),), 5):
+        with pytest.raises(ParameterError, match=r"^search box intervals must be \(lo, hi\) pairs, got "):
+            SearchBox(bad)

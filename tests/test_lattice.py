@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
-from types import SimpleNamespace
+from math import prod
 
 import pytest
 
 from dpforms import (
+    HIRZEBRUCH,
     PLANE,
     BasisMismatchError,
     CurveSystem,
     DivisorClass,
+    InternalInvariantError,
     ParameterError,
+    SurfaceModel,
     build_model,
     anti_plurigenus_table,
     classify,
@@ -28,6 +31,7 @@ from dpforms import (
     signature_of,
 )
 from dpforms import lattice
+from dpforms.cli import run
 from dpforms.lattice import _pivots
 
 
@@ -147,7 +151,7 @@ def test_signature_and_determinant_match_sympy():
         flipped = [c * (-1) ** (r - k) for k, c in enumerate(coeffs)]
         # all eigenvalues are real, so Descartes' rule counts them exactly
         assert signature_of(a) == (_sign_changes(coeffs), _sign_changes(flipped)), a
-        assert gram_determinant(SimpleNamespace(gram=a)) == mat.det(), a
+        assert prod(_pivots(a), start=Fraction(1)) == mat.det(), a
 
 
 def test_k_squared_matches_the_fraction_formula():
@@ -240,6 +244,24 @@ def test_parameter_validation():
         build_model(2, 6, "spherical")
     with pytest.raises(ParameterError):
         k_squared_singular(2, 9)
+    # a model built directly is refused too: no plane basis for a surface that does not exist
+    for args in ((1, 3, HIRZEBRUCH), (2, 0, HIRZEBRUCH), (2, 8, HIRZEBRUCH), (2, 5, PLANE),
+                 (2, 6, "spherical"), (2, 99, PLANE)):
+        with pytest.raises(ParameterError):
+            SurfaceModel(*args)
+    model = SurfaceModel(3.0, 4.0, "hirzebruch")
+    assert (type(model.m), type(model.n), model) == (int, int, build_model(3, 4))
+
+
+def test_fractional_determinant_is_a_broken_invariant(monkeypatch, capsys):
+    # an integer Gram matrix has an integer determinant: pivots that multiply
+    # to a fraction are a bug, reported by the library and by the CLI (exit 2)
+    monkeypatch.setattr(SurfaceModel, "pivots", (Fraction(1, 2), Fraction(-1)))
+    with pytest.raises(InternalInvariantError, match="non-integer determinant"):
+        gram_determinant(build_model(2, 3))
+    assert run(["lattice", "--m", "2", "--n", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("internal invariant violated: ")
 
 
 def test_one_parameter_guard():

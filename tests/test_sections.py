@@ -55,6 +55,14 @@ def test_binary_form_basics():
         binary_form([])
 
 
+def test_unreadable_coefficients_are_parameter_errors():
+    # each escaped Fraction() as a TypeError, ValueError, OverflowError or ZeroDivisionError
+    for build, values in ((poly, [None]), (poly, ["x"]), (poly, [float("nan")]),
+                          (binary_form, [float("inf"), 1]), (binary_form, ["1/0", 1])):
+        with pytest.raises(ParameterError, match=r"^coefficients must be rational numbers, got "):
+            build(values)
+
+
 def test_rational_roots():
     assert rational_roots(poly([-4, 0, 1])) == {Fraction(2): 1, Fraction(-2): 1}
     assert rational_roots(poly([1, 0, 1])) == {}

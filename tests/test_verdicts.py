@@ -18,6 +18,8 @@ def test_tristate_parsing():
     assert parse_tristate("no") is TriState.NO
     assert parse_tristate("unknown") is TriState.OPEN
     assert parse_tristate("open") is TriState.OPEN
+    assert parse_tristate(" Yes ") is TriState.YES
+    assert parse_tristate("UNKNOWN") is TriState.OPEN
     assert str(TriState.YES) == "yes"
     assert str(TriState.OPEN) == "open"
     with pytest.raises(ParameterError):
