@@ -7,10 +7,10 @@ and exhaustive solvers, the rationality/cylindricity decision table,
 and exact analysis of hyperplane-section splitting.
 
 The public names are declared once, in ``_EXPORTS``, which maps each
-library module to the names it exports.  Every name is bound at import, so
-``import dpforms`` loads all eight library modules; ``__all__`` is those
-names and ``run`` in sorted order, then ``__version__``.  ``run`` alone is
-bound on first use, since it loads the CLI and argparse.
+library module to the names it exports.  A name resolves when it is used
+(PEP 562): ``import dpforms`` loads no library module, ``dpforms.X`` loads the
+modules behind X and reads X from its module, and ``run`` loads the CLI.
+``__all__`` is those names and ``run`` in sorted order, then ``__version__``.
 """
 
 from importlib import import_module
@@ -36,18 +36,21 @@ _EXPORTS = {
     "verification": "CheckResult run_all",
 }
 
-for _module, _names in _EXPORTS.items():
-    _loaded = import_module(f".{_module}", __name__)
-    globals().update({name: getattr(_loaded, name) for name in _names.split()})
-del _module, _names, _loaded
+# exported name -> the module that defines it
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_HOME["run"] = "cli"
 
 __version__ = "0.1.0"
-__all__ = sorted([name for names in _EXPORTS.values() for name in names.split()] + ["run"])
+__all__ = sorted(_HOME)
 __all__.append("__version__")
 
 
-def __getattr__(name: str):  # `run` loads the CLI and argparse on first use
-    if name != "run":
+def __getattr__(name: str):
+    module = _HOME.get(name)
+    if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .cli import run
-    return run
+    return getattr(import_module(f".{module}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_HOME})

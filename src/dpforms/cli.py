@@ -6,9 +6,12 @@ descriptor), `ell` (invariant disjoint-curve count from an instance file),
 `classify` (rationality and cylindricity verdict), `sections` (splitting
 polynomial and line census), and `verify` (the full self-check battery).
 
-Each subcommand's handler computes one answer document and prints nothing;
-`run` prints that document, as JSON under --json and otherwise through the
-subcommand's text renderer, an aligned table that reads only the document.
+Each subcommand's handler imports the library names it uses, so a call
+loads only the modules of its subcommand: `dpforms lattice` loads `errors`
+and `lattice`, and only `verify` loads `verification`.  A handler computes
+one answer document and prints nothing; `run` prints that document, as JSON
+under --json and otherwise through the subcommand's text renderer, an
+aligned table that reads only the document.
 Output is deterministic: identical argv yields byte-identical output.
 
 Exit codes: 0 on success, 1 on invalid input or infeasible parameters,
@@ -27,7 +30,6 @@ import sys
 from fractions import Fraction
 from itertools import islice
 
-from .curves import curves_meeting_q, minus_one_census
 from .errors import (
     InputFormatError,
     InternalInvariantError,
@@ -35,34 +37,10 @@ from .errors import (
     ParameterError,
     ToolkitError,
 )
-from .galois import (
-    GaloisAction,
-    build_curve_system,
-    compute_ell,
-    orbit_partition,
-)
-from .lattice import (
-    HIRZEBRUCH,
-    KINDS,
-    build_model,
-    gram_determinant,
-    is_del_pezzo,
-    is_unimodular,
-    k_squared_singular,
-    lattice_signature,
-)
-from .riemann_roch import anti_plurigenus_table, embedding_descriptor
-from .sections import (
-    UnivariatePoly,
-    binary_form,
-    ci_split_polynomial,
-    factor_over_rationals,
-    line_census,
-    poly_text,
-    primitive_integer_form,
-)
-from .verdicts import Verdict, classify
-from .verification import run_all
+from .lattice import HIRZEBRUCH, KINDS
+
+# annotations are not evaluated (PEP 563), so the Verdict and UnivariatePoly
+# of the hints below need no import
 
 # input caps: the window grows with --bound, a census with m where n >= m+4,
 # the closed forms and lattice invariants with m, the ell search with the
@@ -146,6 +124,7 @@ def _check_m(m: int, n: int | None = None) -> None:
 
 def _check_coefficients(*polys: UnivariatePoly) -> None:
     """Refuse a polynomial whose primitive integer form exceeds MAX_SECTIONS_COEFF."""
+    from .sections import primitive_integer_form
     for p in polys:
         if p.is_zero:
             continue
@@ -176,6 +155,8 @@ def _parse_coeffs(text: str) -> tuple[Fraction, ...]:
 
 
 def _cmd_lattice(args: argparse.Namespace) -> dict:
+    from .lattice import (build_model, gram_determinant, is_unimodular,
+                           k_squared_singular, lattice_signature)
     _check_m(args.m)
     model = build_model(args.m, args.n, args.kind)
     mk = model.anticanonical
@@ -214,6 +195,8 @@ def _show_lattice(doc: dict) -> None:
 
 
 def _cmd_curves(args: argparse.Namespace) -> dict:
+    from .curves import curves_meeting_q, minus_one_census
+    from .lattice import build_model, is_del_pezzo
     if args.bound < 0:
         raise ParameterError(f"--bound must be >= 0, got {args.bound}")
     if args.bound > MAX_BOUND:
@@ -260,12 +243,16 @@ def _show_curves(doc: dict) -> None:
 
 
 def _cmd_rr(args: argparse.Namespace) -> dict:
+    from .lattice import check_mn
+    from .riemann_roch import anti_plurigenus_table, embedding_descriptor
     if args.max_j is None and not args.embedding:
         raise ParameterError("nothing to do: pass --max-j and/or --embedding")
     if args.max_j is not None and args.n is None:
         raise ParameterError("--max-j requires --n")
     if args.max_j is not None and args.max_j > MAX_J:
         raise ParameterError(f"--max-j must be <= {MAX_J}, got {args.max_j}")
+    if args.max_j is None and args.n is not None:
+        check_mn(args.m, args.n)  # the table checks n itself, after max_j
 
     doc: dict = {"m": args.m}
     if args.max_j is not None:
@@ -349,6 +336,10 @@ def _load_instance(path: str) -> dict:
 
 
 def _cmd_ell(args: argparse.Namespace) -> dict:
+    from .curves import curves_meeting_q
+    from .galois import GaloisAction, build_curve_system, compute_ell, orbit_partition
+    from .lattice import build_model
+    from .verdicts import classify
     instance = _load_instance(args.instance)
     entry = instance["model"]
     raw_curves = instance.get("curves", "auto")
@@ -407,6 +398,7 @@ def _show_ell(doc: dict) -> None:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
+    from .verdicts import classify
     return _verdict_doc(classify(args.m, args.n, ell=args.ell, q_point=args.q_point))
 
 
@@ -415,6 +407,7 @@ def _show_classify(doc: dict) -> None:
 
 
 def _cmd_sections_ci(args: argparse.Namespace) -> dict:
+    from .sections import binary_form, ci_split_polynomial, factor_over_rationals, poly_text
     h = binary_form(_parse_coeffs(args.h))
     if h.degree > MAX_SECTIONS_DEGREE:
         raise ParameterError(
@@ -468,6 +461,7 @@ def _show_sections_ci(doc: dict) -> None:
 
 
 def _cmd_sections_lines(args: argparse.Namespace) -> dict:
+    from .sections import binary_form, line_census
     a_form, b_form = binary_form(_parse_coeffs(args.a)), binary_form(_parse_coeffs(args.b))
     _check_coefficients(a_form.dehomogenized(), b_form.dehomogenized())
     census = line_census(a_form, b_form)
@@ -502,6 +496,7 @@ def _show_sections_lines(doc: dict) -> None:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict:
+    from .verification import run_all
     results = run_all()
     first = next((r for r in results if not r.passed), None)
     return {

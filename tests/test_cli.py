@@ -219,7 +219,7 @@ def test_ell_refuses_oversized_auto_windows_up_front(tmp_path, capsys, monkeypat
     def no_census(model, pad=0):
         raise AssertionError(f"census built for {model.basis_tag}")
 
-    monkeypatch.setattr("dpforms.cli.curves_meeting_q", no_census)
+    monkeypatch.setattr("dpforms.curves.curves_meeting_q", no_census)
     for m in range(MAX_AUTO_WINDOW_M + 1, 13):
         model = {"m": m, "n": m + 5, "kind": "hirzebruch"}
         code, out, err = _ell(tmp_path, capsys, {"model": model, "curves": "auto", "galois": []})
@@ -249,6 +249,16 @@ def test_rr_embedding_json(capsys):
     assert code == 1
 
 
+def test_rr_refuses_an_out_of_range_n(capsys):
+    # --n is checked even where only --embedding reads the call
+    for n in ("99", "0"):
+        code, out, err = _capture(capsys, ["rr", "--m", "5", "--n", n, "--embedding"])
+        assert code == 1 and out == ""
+        assert err == f"error: n must satisfy 1 <= n <= m+5 = 10, got {n}\n"
+    code, out, _ = _capture(capsys, ["rr", "--m", "5", "--n", "9", "--embedding"])
+    assert code == 0 and out == "embedding: complete intersection of degrees 6, 6 in P(1,1,3,3,5)\n"
+
+
 def test_classify_json(capsys):
     code, out, _ = _capture(
         capsys, ["classify", "--m", "3", "--n", "7", "--ell", "4", "--json"]
@@ -273,7 +283,7 @@ def test_classify_exit_codes(capsys, monkeypatch):
     def broken(*args, **kwargs):
         raise InternalInvariantError("a broken table")
 
-    monkeypatch.setattr("dpforms.cli.classify", broken)
+    monkeypatch.setattr("dpforms.verdicts.classify", broken)
     code, out, err = _capture(capsys, ["classify", "--m", "3", "--n", "4"])
     assert code == 2 and out == "" and err == "internal invariant violated: a broken table\n"
 

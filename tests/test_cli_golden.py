@@ -104,7 +104,9 @@ def _grid() -> list[list[str]]:
                  ["--m", "3", "--n", "7", "--max-j", "1000"], ["--m", "3", "--n", "7", "--max-j", "1001"],
                  ["--m", "3", "--n", "7", "--max-j", "0"], ["--m", "3", "--n", "7", "--max-j", "-3"],
                  ["--m", "5", "--n", "10", "--max-j", "12"], ["--m", "4", "--n", "9", "--max-j", "12"],
-                 ["--m", "3"], ["--m", "3", "--max-j", "2"], ["--m", "1", "--embedding"]):
+                 ["--m", "3"], ["--m", "3", "--max-j", "2"], ["--m", "1", "--embedding"],
+                 ["--m", "5", "--n", "99", "--embedding"], ["--m", "5", "--n", "0", "--embedding"],
+                 ["--m", "5", "--n", "9", "--embedding"]):
         grid.append(["rr", *argv])
     for name in INSTANCES:
         grid.append(["ell", "--instance", f"<{name}>"])
