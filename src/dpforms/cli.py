@@ -53,12 +53,12 @@ MAX_CURVES = 600
 MAX_J = 1000
 # the divisor searches behind factor_over_rationals grow with the number of
 # divisors of the coefficients and of the values at +-1 and +-2; the slowest
-# quartic found at this cap, with lead and constant of 240 divisors each,
-# takes about 0.8 s cold (a prime c in x^4 + c y^4 takes milliseconds)
+# quartic found at this cap, 720720 t^4 + t^3 - t + 720720 (720720 has 240
+# divisors), takes about 0.95 s cold; a prime c in x^4 + c y^4 takes milliseconds
 MAX_SECTIONS_COEFF = 10**6
 # the rational-root candidates are evaluated at a cost linear in the degree;
 # the slowest h found at both caps, 244530, 1, ..., 1, 199520, 1, 299880 of
-# degree 16 (6,720 candidate pairs), takes about 0.2 s cold
+# degree 16 (6,720 candidate pairs), takes about 0.17 s cold
 MAX_SECTIONS_DEGREE = 16
 # a coefficient list is sized before Fraction() reads it, as its digits plus |K|
 # for each exponent eK: Fraction("1e10000000") takes seconds, and a primitive
@@ -128,7 +128,7 @@ def _check_coefficients(*polys: UnivariatePoly) -> None:
     for p in polys:
         if p.is_zero:
             continue
-        top = max(abs(c) for c in primitive_integer_form(p)[0].coeffs)
+        top = max(map(abs, primitive_integer_form(p)[0]))
         if top > MAX_SECTIONS_COEFF:
             raise ParameterError(
                 f"sections takes primitive integer coefficients of at most {MAX_SECTIONS_COEFF} "

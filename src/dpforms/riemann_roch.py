@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParameterError
-from .lattice import _m_k_squared, check_mn, integral
+from .lattice import _m_k_squared, check_mn, integral, is_del_pezzo, k_squared_singular
 
 
 def _nonnegative_j(j) -> int:
@@ -36,9 +36,9 @@ def _nonnegative_j(j) -> int:
 
 
 def _require_del_pezzo(m: int, n: int, what: str) -> None:
-    if _m_k_squared(m, n) <= 0:
+    if not is_del_pezzo(m, n):
         raise ParameterError(f"{what} need K_X^2 > 0; (m, n) = ({m}, {n}) has "
-                             f"K_X^2 = {Fraction(_m_k_squared(m, n), m)}")
+                             f"K_X^2 = {k_squared_singular(m, n)}")
 
 
 def correction_residue(m: int, j: int) -> int:
@@ -71,7 +71,7 @@ def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
     _require_del_pezzo(m, n, "anti-plurigenera")
     j = _nonnegative_j(j)
     scale = 2 * m
-    scaled = scale + j * (j + 1) * _m_k_squared(m, n) + _scaled_correction(m, (-2 * j) % m)
+    scaled = scale + j * (j + 1) * _m_k_squared(m, n) + _scaled_correction(m, correction_residue(m, j))
     h0, rest = divmod(scaled, scale)
     if rest:
         raise InternalInvariantError(

@@ -11,9 +11,11 @@ w = +/- sqrt(c) x^2), plus the section x = 0 when A(0,1) = 0 or B(0,1) = 0.
 
 Everything is exact arithmetic; no floating point anywhere.  Irrational
 split values are reported through the irreducible factor they satisfy, using
-a naive factorization: rational roots, then a search for quadratic factors
-among the candidates whose values at t = 1 and t = -1 divide those of the
-polynomial.  That method certifies irreducibility up to degree 4; any
+a naive factorization in integers: `primitive_integer_form` turns p into a
+tuple of primitive integer coefficients, and rational roots, then a search
+for quadratic factors among the candidates whose values at t = 1 and t = -1
+divide those of the polynomial, run on such tuples with exact integer
+division.  That method certifies irreducibility up to degree 4; any
 higher-degree part it cannot split is reported as unresolved rather than
 claimed irreducible.  `line_census` factors A(1, t) and B(1, t) once and reads
 squarefreeness and coprimality off those factorizations: a repeated factor,
@@ -24,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Iterable
 
 from .errors import ParameterError
 
 RationalLike = Fraction | int
+# an integer polynomial as the factorizer holds it, t^0 first
+IntPoly = tuple[int, ...]
 
 
 def _fractions(values) -> list[Fraction]:
@@ -84,36 +87,20 @@ def poly(coeffs: Iterable[RationalLike]) -> UnivariatePoly:
     return UnivariatePoly(tuple(coeffs))
 
 
-def poly_divmod(num: UnivariatePoly, den: UnivariatePoly) -> tuple[UnivariatePoly, UnivariatePoly]:
-    if den.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(num.coeffs)
-    quo = [Fraction(0)] * max(len(rem) - len(den.coeffs) + 1, 0)
-    lead = den.coeffs[-1]
-    for shift in range(len(rem) - len(den.coeffs), -1, -1):
-        factor = rem[shift + den.degree] / lead
-        if factor == 0:
-            continue
-        quo[shift] = factor
-        for i, c in enumerate(den.coeffs):
-            rem[shift + i] -= factor * c
-    return poly(quo), poly(rem)
-
-
-def primitive_integer_form(p: UnivariatePoly) -> tuple[UnivariatePoly, Fraction]:
+def primitive_integer_form(p: UnivariatePoly) -> tuple[IntPoly, Fraction]:
     """Scale p to primitive integer coefficients with positive leading term.
 
-    Returns (q, unit) with p = unit * q exactly.
+    Returns (q, unit) with p = unit * q exactly, q as ints, t^0 first.  This
+    is where the factorizer leaves Fractions: it works on such tuples only.
     """
     if p.is_zero:
         raise ParameterError("zero polynomial has no primitive form")
-    denom = reduce(lambda acc, c: acc * c.denominator // gcd(acc, c.denominator), p.coeffs, 1)
-    ints = [int(c * denom) for c in p.coeffs]
-    content = reduce(gcd, (abs(v) for v in ints))
+    denom = lcm(*(c.denominator for c in p.coeffs))
+    ints = [c.numerator * (denom // c.denominator) for c in p.coeffs]
+    content = gcd(*ints)
     if ints[-1] < 0:
         content = -content
-    q = poly(Fraction(v, content) for v in ints)
-    return q, Fraction(content, denom)
+    return tuple(v // content for v in ints), Fraction(content, denom)
 
 
 def poly_text(p: UnivariatePoly, var: str = "t") -> str:
@@ -198,57 +185,70 @@ def _divides(d: int, n: int) -> bool:
     return d != 0 and n % d == 0
 
 
-def _divide_out(q: UnivariatePoly, f: UnivariatePoly) -> tuple[UnivariatePoly, int]:
-    """Divide f out of q while the division is exact: (quotient, multiplicity)."""
+def _value(q: IntPoly, num: int, den: int = 1) -> int:
+    """den^d q(num/den) for q of degree d, an integer, by Horner's rule."""
+    acc, scale = 0, 1
+    for c in reversed(q):
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _exact_quotient(q: IntPoly, f: IntPoly) -> IntPoly | None:
+    """q / f for a primitive f, or None when f does not divide q: by Gauss's
+    lemma such a quotient is integral, so a fractional digit ends the division."""
+    rem, deg = list(q), len(f) - 1
+    quo = [0] * (len(q) - deg)
+    for shift in range(len(quo) - 1, -1, -1):
+        digit, frac = divmod(rem[shift + deg], f[-1])
+        if frac:
+            return None
+        quo[shift] = digit
+        for i, c in enumerate(f):
+            rem[shift + i] -= digit * c
+    return None if any(rem[:deg]) else tuple(quo)
+
+
+def _divide_out(q: IntPoly, f: IntPoly) -> tuple[IntPoly, int]:
+    """Divide the primitive f out of q while the division is exact: (quotient, multiplicity)."""
     mult = 0
-    while True:
-        quo, rem = poly_divmod(q, f)
-        if not rem.is_zero:
-            return q, mult
+    while (quo := _exact_quotient(q, f)) is not None:
         q, mult = quo, mult + 1
+    return q, mult
 
 
-def _linear_factors(q: UnivariatePoly) -> tuple[dict[Fraction, int], UnivariatePoly]:
-    """Rational roots of a primitive integer q, and q with them divided out.
+def _linear_factors(q: IntPoly) -> tuple[list[tuple[IntPoly, int]], IntPoly]:
+    """The linear factors (-num, den) of a primitive integer q, one per
+    rational root num/den, with multiplicities, and q with them divided out.
 
     Candidates come from the rational-root theorem; a candidate num/den is a
     root exactly when den^d q(num/den), an integer, is zero.  Multiplicities
     are read off by repeated exact division, whose final quotient is the
-    returned cofactor; it has integer coefficients by Gauss's lemma.
+    returned cofactor.
     """
-    roots: dict[Fraction, int] = {}
-    low = 0
-    while q.coeffs[low] == 0:
-        low += 1
-    if low:
-        roots[Fraction(0)] = low
-        q = poly(q.coeffs[low:])
-    if q.degree < 1:
-        return roots, q
-    ints = [int(c) for c in q.coeffs]
-    dens = _divisors(ints[-1])
-    for num in _divisors(ints[0]):
+    low = next(i for i, c in enumerate(q) if c)
+    found = [((0, 1), low)] if low else []
+    q = q[low:]
+    if len(q) < 2:
+        return found, q
+    dens = _divisors(q[-1])
+    for num in _divisors(q[0]):
         for den in dens:
             if gcd(num, den) != 1:
                 continue
             for top in (num, -num):
-                # den^d q(top/den) by Horner's rule, top coefficient first
-                acc, scale = 0, 1
-                for c in reversed(ints):
-                    acc = acc * top + c * scale
-                    scale *= den
-                if acc:
-                    continue
-                q, roots[Fraction(top, den)] = _divide_out(q, poly((-top, den)))
-                ints = [int(c) for c in q.coeffs]
-    return roots, q
+                if _value(q, top, den) == 0:
+                    q, mult = _divide_out(q, (-top, den))
+                    found.append(((-top, den), mult))
+    return found, q
 
 
 def rational_roots(p: UnivariatePoly) -> dict[Fraction, int]:
     """All rational roots with multiplicities, found exactly."""
     if p.is_zero:
         raise ParameterError("the zero polynomial has every root")
-    return _linear_factors(primitive_integer_form(p)[0])[0]
+    linear, _ = _linear_factors(primitive_integer_form(p)[0])
+    return {Fraction(-low, lead): mult for (low, lead), mult in linear}
 
 
 @dataclass(frozen=True)
@@ -270,7 +270,7 @@ class Factorization:
         return self.unresolved is None
 
 
-def _quadratic_factors(q: UnivariatePoly) -> tuple[list[tuple[UnivariatePoly, int]], UnivariatePoly]:
+def _quadratic_factors(q: IntPoly) -> tuple[list[tuple[IntPoly, int]], IntPoly]:
     """Divide out every rational quadratic factor of a primitive integer q.
 
     q must have no rational roots.  The search is exhaustive.  A rational
@@ -285,20 +285,20 @@ def _quadratic_factors(q: UnivariatePoly) -> tuple[list[tuple[UnivariatePoly, in
     g(k) = 0 has the root k, cannot divide q, and is skipped.  Exact
     division confirms each factor found.
     """
-    found: list[tuple[UnivariatePoly, int]] = []
-    while q.degree >= 4:
-        at_two, at_minus_two = int(q(2)), int(q(-2))
+    found: list[tuple[IntPoly, int]] = []
+    while len(q) >= 5:
+        at_two, at_minus_two = _value(q, 2), _value(q, -2)
         # mids[l + c]: each b with g(1) = l + b + c dividing q(1), g(-1) = l - b + c dividing q(-1)
         mids: dict[int, list[int]] = {}
-        d2s = _signed_divisors(int(q(-1)))
-        for d1 in _signed_divisors(int(q(1))):
+        d2s = _signed_divisors(_value(q, -1))
+        for d1 in _signed_divisors(_value(q, 1)):
             for d2 in d2s:
                 if (d1 + d2) % 2 == 0:
                     mids.setdefault((d1 + d2) // 2, []).append((d1 - d2) // 2)
-        consts = _signed_divisors(int(q.coeffs[0]))
+        consts = _signed_divisors(q[0])
         candidates = (
-            poly((c, b, l))
-            for l in _divisors(int(q.coeffs[-1]))
+            (c, b, l)
+            for l in _divisors(q[-1])
             for c in consts
             for b in mids.get(l + c, ())
             if gcd(l, b, c) == 1
@@ -325,19 +325,18 @@ def factor_over_rationals(p: UnivariatePoly) -> Factorization:
     if p.is_zero:
         raise ParameterError("cannot factor the zero polynomial")
     q, unit = primitive_integer_form(p)
-    roots, q = _linear_factors(q)
-    factors = [(poly((-root.numerator, root.denominator)), mult) for root, mult in roots.items()]
+    factors, q = _linear_factors(q)
     quads, q = _quadratic_factors(q)
-    factors.extend(quads)
+    factors += quads
+    # the factors are primitive with positive leading terms, and so then is
+    # the cofactor q: a constant q is 1
     unresolved = None
-    if q.degree >= 5:
-        unresolved = q
-    elif q.degree >= 1:
+    if len(q) >= 6:
+        unresolved = poly(q)
+    elif len(q) >= 2:
         factors.append((q, 1))
-    else:
-        unit *= q.coeffs[0]
-    factors.sort(key=lambda fm: (fm[0].degree, fm[0].coeffs))
-    return Factorization(unit=unit, factors=tuple(factors), unresolved=unresolved)
+    factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    return Factorization(unit=unit, factors=tuple((poly(f), k) for f, k in factors), unresolved=unresolved)
 
 
 def ci_split_polynomial(h: BinaryForm) -> UnivariatePoly:
@@ -352,8 +351,7 @@ def ci_split_polynomial(h: BinaryForm) -> UnivariatePoly:
     if h.degree % 2 != 0 or h.degree < 4:
         raise ParameterError(f"h must have even degree 2m with m >= 2, got degree {h.degree}")
     p = h.dehomogenized() * poly((1, 0, Fraction(-1, 4)))
-    normal, _ = primitive_integer_form(p)
-    return normal
+    return poly(primitive_integer_form(p)[0])
 
 
 def is_rational_square(c: Fraction) -> bool:

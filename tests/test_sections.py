@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -17,7 +18,7 @@ from dpforms import (
     poly_text,
     rational_roots,
 )
-from dpforms.sections import _divisors, poly_divmod, primitive_integer_form
+from dpforms.sections import _divisors, primitive_integer_form
 
 
 def test_poly_basics():
@@ -31,8 +32,6 @@ def test_poly_basics():
     assert poly([0]).degree == -1
     assert poly_text(poly(())) == "0"
     assert (poly([1, 1]) * poly(())).is_zero
-    with pytest.raises(ZeroDivisionError):
-        poly_divmod(poly([1]), poly(()))
     with pytest.raises(ParameterError):
         primitive_integer_form(poly(()))
 
@@ -170,6 +169,22 @@ def test_factorization_matches_sympy():
             assert [fk for fk in theirs if len(fk[0]) <= 3] == [fk for fk in ours if len(fk[0]) <= 3], p
             assert min(len(f) for f, _ in sympy_factors(result.unresolved)) >= 4, p
     assert complete > 100 and incomplete > 10
+
+
+def test_factorization_multiplies_back_with_its_unit():
+    for base in _oracle_cases(240):
+        for scale in (1, Fraction(3, 7), Fraction(-5, 2)):
+            p = base * poly([scale])
+            result = factor_over_rationals(p)
+            product = poly([result.unit]) * (result.unresolved or poly([1]))
+            for f, k in result.factors:
+                ints = [int(c) for c in f.coeffs]
+                assert list(f.coeffs) == ints and gcd(*ints) == 1 and ints[-1] > 0, (p, f)
+                for _ in range(k):
+                    product = product * f
+            assert product == p, p
+            linear = {Fraction(-f.coeffs[0], f.coeffs[1]): k for f, k in result.factors if f.degree == 1}
+            assert rational_roots(p) == linear, p
 
 
 def test_factorization_of_a_large_prime_coefficient():
