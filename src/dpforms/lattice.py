@@ -87,12 +87,12 @@ class DivisorClass:
 
 @dataclass(frozen=True)
 class SurfaceModel:
-    """A Picard-lattice model of the resolved (m, n) surface; construction refuses
-    what `check_mn` refuses, kinds outside KINDS and a plane basis off n = m+4."""
+    """A Picard-lattice model of resolved (m, n), Hirzebruch basis by default; construction
+    refuses what `check_mn` refuses, kinds outside KINDS and a plane basis off n = m+4."""
 
     m: int
     n: int
-    kind: str
+    kind: str = HIRZEBRUCH
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -200,6 +200,9 @@ class SurfaceModel:
         return named
 
 
+build_model = SurfaceModel
+
+
 def _products(lefts, rights) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
     """(table, masks): the table of ``sum(map(mul, d, w))`` over d in lefts
     and w in rights and, per row, the int whose bit j is set iff entry j is
@@ -268,12 +271,6 @@ def check_mn(m: int, n: int | None = None) -> tuple[int, int | None]:
         if not 1 <= n <= m + 5:
             raise ParameterError(f"n must satisfy 1 <= n <= m+5 = {m + 5}, got {n}")
     return m, n
-
-
-def build_model(m: int, n: int, kind: str = HIRZEBRUCH) -> SurfaceModel:
-    """The lattice model of (m, n) in the given basis, Hirzebruch by default;
-    `SurfaceModel` validates its parameters on construction."""
-    return SurfaceModel(m=m, n=n, kind=kind)
 
 
 def k_squared_singular(m: int, n: int) -> Fraction:

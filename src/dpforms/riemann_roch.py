@@ -17,6 +17,8 @@ m K_X^2 = (m+2)^2 - nm from `lattice._m_k_squared`, must divide by 2m into a
 non-negative quotient, and anything else raises InternalInvariantError.
 chi is h^0 only where K_X^2 > 0, so every other (m, n) is refused with a
 ParameterError first.  Fractions remain only for the reported correction c.
+Each public function checks its arguments once, then calls unchecked cores
+(`_residue`, `_correction`, `_h0`) on the checked ints, once per table row.
 """
 
 from __future__ import annotations
@@ -35,16 +37,16 @@ def _nonnegative_j(j) -> int:
     return j
 
 
-def _require_del_pezzo(m: int, n: int, what: str) -> None:
+def _require_del_pezzo(m: int, n: int, what: str) -> tuple[int, int]:
+    m, n = check_mn(m, n)
     if not is_del_pezzo(m, n):
         raise ParameterError(f"{what} need K_X^2 > 0; (m, n) = ({m}, {n}) has "
                              f"K_X^2 = {k_squared_singular(m, n)}")
+    return m, n
 
 
-def correction_residue(m: int, j: int) -> int:
-    """The residue t = -2j mod m, normalized to 0 <= t <= m-1."""
-    m, _ = check_mn(m)
-    return (-2 * _nonnegative_j(j)) % m
+def _residue(m: int, j: int) -> int:
+    return (-2 * j) % m
 
 
 def _scaled_correction(m: int, t: int) -> int:
@@ -54,24 +56,14 @@ def _scaled_correction(m: int, t: int) -> int:
     return (m - t + 1) * (t - 1) - (m - 1)
 
 
-def correction_term(m: int, j: int) -> Fraction:
-    """Correction to chi(-jK) from the (1/m)(1,1) point.  Periodic: c(m, j) = c(m, j+m)."""
-    m, _ = check_mn(m)
-    return Fraction(_scaled_correction(m, correction_residue(m, j)), 2 * m)
+def _correction(m: int, j: int) -> Fraction:
+    return Fraction(_scaled_correction(m, _residue(m, j)), 2 * m)
 
 
-def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
-    """h^0 of -jK on the singular surface: 1 + j(j+1)/2 * K^2 + c(m, j).
-
-    Refused where K_X^2 <= 0.  On the del Pezzo surfaces the result is a
-    dimension, so a non-integral or negative value can only mean a broken
-    invariant, and the guard raises InternalInvariantError rather than rounding.
-    """
-    m, n = check_mn(m, n)
-    _require_del_pezzo(m, n, "anti-plurigenera")
-    j = _nonnegative_j(j)
+def _h0(m: int, n: int, j: int) -> int:
+    """h^0(-jK) for checked (m, n) with K_X^2 > 0 and a checked j >= 0."""
     scale = 2 * m
-    scaled = scale + j * (j + 1) * _m_k_squared(m, n) + _scaled_correction(m, correction_residue(m, j))
+    scaled = scale + j * (j + 1) * _m_k_squared(m, n) + _scaled_correction(m, _residue(m, j))
     h0, rest = divmod(scaled, scale)
     if rest:
         raise InternalInvariantError(
@@ -83,6 +75,29 @@ def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
             f"anti-plurigenus chi(m={m}, n={n}, j={j}) = {h0} is negative"
         )
     return h0
+
+
+def correction_residue(m: int, j: int) -> int:
+    """The residue t = -2j mod m, normalized to 0 <= t <= m-1."""
+    m, _ = check_mn(m)
+    return _residue(m, _nonnegative_j(j))
+
+
+def correction_term(m: int, j: int) -> Fraction:
+    """Correction to chi(-jK) from the (1/m)(1,1) point.  Periodic: c(m, j) = c(m, j+m)."""
+    m, _ = check_mn(m)
+    return _correction(m, _nonnegative_j(j))
+
+
+def h0_anti_plurigenus(m: int, n: int, j: int) -> int:
+    """h^0 of -jK on the singular surface: 1 + j(j+1)/2 * K^2 + c(m, j).
+
+    Refused where K_X^2 <= 0.  On the del Pezzo surfaces the result is a
+    dimension, so a non-integral or negative value can only mean a broken
+    invariant, and the guard raises InternalInvariantError rather than rounding.
+    """
+    m, n = _require_del_pezzo(m, n, "anti-plurigenera")
+    return _h0(m, n, _nonnegative_j(j))
 
 
 @dataclass(frozen=True)
@@ -123,15 +138,6 @@ def anti_plurigenus_table(m: int, n: int, max_j: int) -> tuple[TableRow, ...]:
     max_j = integral("max_j", max_j)
     if max_j < 1:
         raise ParameterError(f"max_j must be >= 1, got {max_j}")
-    _require_del_pezzo(*check_mn(m, n), "anti-plurigenus tables")
-    rows = []
-    for j in range(1, max_j + 1):
-        rows.append(
-            TableRow(
-                j=j,
-                residue=correction_residue(m, j),
-                correction=correction_term(m, j),
-                h0=h0_anti_plurigenus(m, n, j),
-            )
-        )
-    return tuple(rows)
+    m, n = _require_del_pezzo(m, n, "anti-plurigenus tables")
+    return tuple(TableRow(j=j, residue=_residue(m, j), correction=_correction(m, j), h0=_h0(m, n, j))
+                 for j in range(1, max_j + 1))

@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable
 
 from .errors import ParameterError
 
@@ -37,8 +36,9 @@ IntPoly = tuple[int, ...]
 
 
 def _fractions(values) -> list[Fraction]:
-    """values as Fractions; a value Fraction() cannot read is a ParameterError."""
+    """values, any iterable, as a list of Fractions; anything else is a ParameterError."""
     try:
+        values = tuple(values)
         return [Fraction(c) for c in values]
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ParameterError(f"coefficients must be rational numbers, got {values!r}") from None
@@ -46,8 +46,8 @@ def _fractions(values) -> list[Fraction]:
 
 @dataclass(frozen=True)
 class UnivariatePoly:
-    """Polynomial in one variable; coeffs[i] multiplies t^i.  Construction
-    stores the coefficients as Fractions with no trailing zeros."""
+    """Polynomial in one variable; coeffs[i] multiplies t^i.  Construction takes
+    any iterable, t^0 first, and stores Fractions with no trailing zeros."""
 
     coeffs: tuple[Fraction, ...]
 
@@ -80,11 +80,6 @@ class UnivariatePoly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] += a * b
         return poly(out)
-
-
-def poly(coeffs: Iterable[RationalLike]) -> UnivariatePoly:
-    """Build a UnivariatePoly from any iterable of coefficients, t^0 first."""
-    return UnivariatePoly(tuple(coeffs))
 
 
 def primitive_integer_form(p: UnivariatePoly) -> tuple[IntPoly, Fraction]:
@@ -128,14 +123,15 @@ def poly_text(p: UnivariatePoly, var: str = "t") -> str:
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Homogeneous form in (x, y); coeffs[i] multiplies x^(degree-i) y^i."""
+    """Homogeneous form in (x, y) from any nonempty iterable; coeffs[i] multiplies x^(degree-i) y^i."""
 
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        if not self.coeffs:
+        coeffs = _fractions(self.coeffs)
+        if not coeffs:
             raise ParameterError("a binary form needs at least one coefficient")
-        object.__setattr__(self, "coeffs", tuple(_fractions(self.coeffs)))
+        object.__setattr__(self, "coeffs", tuple(coeffs))
 
     @property
     def degree(self) -> int:
@@ -154,8 +150,8 @@ class BinaryForm:
         return self.coeffs[-1]
 
 
-def binary_form(coeffs: Iterable[RationalLike]) -> BinaryForm:
-    return BinaryForm(coeffs=tuple(coeffs))
+poly = UnivariatePoly
+binary_form = BinaryForm
 
 
 def _divisors(n: int) -> list[int]:

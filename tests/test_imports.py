@@ -86,3 +86,10 @@ def test_the_package_keeps_no_stale_binding(monkeypatch):
     assert dpforms.classify is verdicts.classify is not original
     monkeypatch.undo()
     assert dpforms.classify is original
+
+
+def test_each_factory_is_its_constructor():
+    # one front door per input: the factory names bind the validating constructors
+    assert dpforms.build_model is dpforms.SurfaceModel
+    assert dpforms.poly is dpforms.UnivariatePoly
+    assert dpforms.binary_form is dpforms.BinaryForm

@@ -253,6 +253,11 @@ def test_parameter_validation():
     assert (type(model.m), type(model.n), model) == (int, int, build_model(3, 4))
 
 
+def test_a_model_defaults_to_the_hirzebruch_basis():
+    model = SurfaceModel(3, 4)
+    assert model.kind == HIRZEBRUCH and model == build_model(3, 4, HIRZEBRUCH)
+
+
 def test_fractional_determinant_is_a_broken_invariant(monkeypatch, capsys):
     # an integer Gram matrix has an integer determinant: pivots that multiply
     # to a fraction are a bug, reported by the library and by the CLI (exit 2)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from dpforms import riemann_roch
+from dpforms import lattice, riemann_roch
 from dpforms import (
     InternalInvariantError,
     ParameterError,
@@ -117,6 +117,37 @@ def test_invariant_guard_fires_outside_range(monkeypatch):
     monkeypatch.setattr(riemann_roch, "_scaled_correction", lambda m, t: 1)
     with pytest.raises(InternalInvariantError, match="is not an integer"):
         h0_anti_plurigenus(3, 7, 1)
+
+
+def test_invariant_guard_fires_on_negative_chi(monkeypatch):
+    # a scaled correction of -4m is c = -2, so chi(j = 0) = 1 - 2 = -1
+    monkeypatch.setattr(riemann_roch, "_scaled_correction", lambda m, t: -4 * m)
+    with pytest.raises(InternalInvariantError, match=r"chi\(m=3, n=7, j=0\) = -1 is negative$"):
+        h0_anti_plurigenus(3, 7, 0)
+    # tables start at j = 1: K_X^2 = 2 on (2, 6), so c = -4 gives chi(1) = 1 + 2 - 4 = -1
+    monkeypatch.setattr(riemann_roch, "_scaled_correction", lambda m, t: -8 * m)
+    with pytest.raises(InternalInvariantError, match=r"chi\(m=2, n=6, j=1\) = -1 is negative$"):
+        anti_plurigenus_table(2, 6, 3)
+
+
+def test_arguments_are_checked_once_per_call(monkeypatch):
+    # counted in both modules, so the del Pezzo test's own check counts too
+    calls = []
+    original = lattice.check_mn
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(lattice, "check_mn", counted)
+    monkeypatch.setattr(riemann_roch, "check_mn", counted)
+    for max_j in (1, 2, 1000):
+        calls.clear()
+        assert len(anti_plurigenus_table(12, 16, max_j)) == max_j
+        assert len(calls) <= 2, (max_j, len(calls))
+    calls.clear()
+    h0_anti_plurigenus(12, 16, 5)
+    assert len(calls) <= 2, len(calls)
 
 
 def test_integer_h0_equals_the_fraction_formula():

@@ -54,6 +54,19 @@ def test_binary_form_basics():
         binary_form([])
 
 
+def test_constructors_take_any_iterable():
+    assert poly(x for x in ()) == poly(()) and poly(x for x in ()).is_zero
+    assert poly(iter([1, 0, -1])) == poly([1, 0, -1])
+    assert binary_form(c for c in (1, 0, -4)) == binary_form([1, 0, -4])
+    # the emptiness test reads the converted coefficients, so an iterator cannot slip past it
+    for empty in (iter(()), (c for c in ())):
+        with pytest.raises(ParameterError, match="needs at least one coefficient"):
+            binary_form(empty)
+    for build in (poly, binary_form):
+        with pytest.raises(ParameterError, match="^coefficients must be rational numbers, got 5$"):
+            build(5)
+
+
 def test_unreadable_coefficients_are_parameter_errors():
     # each escaped Fraction() as a TypeError, ValueError, OverflowError or ZeroDivisionError
     for build, values in ((poly, [None]), (poly, ["x"]), (poly, [float("nan")]),
