@@ -9,9 +9,11 @@ splits into a line pair exactly when A(1, t) = 0 (residual c = B(1, t), pair
 w = +/- sqrt(c) xz) or B(1, t) = 0 (residual c = A(1, t), pair
 w = +/- sqrt(c) x^2), plus the section x = 0 when A(0,1) = 0 or B(0,1) = 0.
 
-Everything is exact arithmetic; no floating point anywhere.  Irrational
-split values are reported through the irreducible factor they satisfy, using
-a naive factorization in integers: `primitive_integer_form` turns p into a
+Everything is exact arithmetic; no floating point anywhere.  Products and
+primitive forms are integer work: p is (a^2 - 4) q for the primitive integer
+form q of h(1, a), and so primitive by Gauss's lemma.  Irrational split
+values are reported through the irreducible factor they satisfy, using a
+naive factorization in integers: `primitive_integer_form` turns p into a
 tuple of primitive integer coefficients, and rational roots, then a search
 for quadratic factors among the candidates whose values at t = 1 and t = -1
 divide those of the polynomial, run on such tuples with exact integer
@@ -71,15 +73,6 @@ class UnivariatePoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def __mul__(self, other: UnivariatePoly) -> UnivariatePoly:
-        if self.is_zero or other.is_zero:
-            return poly(())
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return poly(out)
 
 
 def primitive_integer_form(p: UnivariatePoly) -> tuple[IntPoly, Fraction]:
@@ -346,8 +339,9 @@ def ci_split_polynomial(h: BinaryForm) -> UnivariatePoly:
         raise ParameterError("h must be nonzero")
     if h.degree % 2 != 0 or h.degree < 4:
         raise ParameterError(f"h must have even degree 2m with m >= 2, got degree {h.degree}")
-    p = h.dehomogenized() * poly((1, 0, Fraction(-1, 4)))
-    return poly(primitive_integer_form(p)[0])
+    # p is a rational multiple of (a^2 - 4) q, primitive with q's positive lead
+    q, _ = primitive_integer_form(h.dehomogenized())
+    return poly(shifted - 4 * c for shifted, c in zip((0, 0) + q, q + (0, 0)))
 
 
 def is_rational_square(c: Fraction) -> bool:

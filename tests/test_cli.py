@@ -3,6 +3,7 @@
 import ast
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -622,16 +623,31 @@ def test_python_m_runs_cli(capsys, module):
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]])
 def test_closed_pipe_exits_quietly(json_flag):
-    # the (5,10) census prints 91 KB as text and 349 KB as JSON, more than a
-    # pipe buffer holds, so the writes after the reader closes fail
+    # the (12,16) census prints 2.4 MB as text and 8.9 MB as JSON, far more
+    # than a pipe buffer holds, so the writes after the reader closes fail
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    argv = [sys.executable, "-m", "dpforms", "curves", "--m", "5", "--n", "10", *json_flag]
+    argv = [sys.executable, "-m", "dpforms", "curves", "--m", "12", "--n", "16", *json_flag]
     with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline()
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_python_m_in_process_sends_a_closed_stdout_to_devnull(monkeypatch):
+    # python -m dpforms in this process, so a line trace of the suite sees
+    # entry and __main__: the flush meets a pipe without a reader, so entry
+    # points the stdout descriptor at devnull and exits 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        monkeypatch.setattr(sys, "argv", ["dpforms", "classify", "--m", "3", "--n", "4"])
+        with pytest.raises(SystemExit) as exited:
+            runpy.run_module("dpforms", run_name="__main__")
+        assert exited.value.code == 1
+        assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
 
 
 def test_exports_are_the_library_objects():

@@ -67,6 +67,40 @@ def test_h0_matches_monomial_count():
             assert h0_anti_plurigenus(m, m + 4, j) == embedded_h0(m, j)
 
 
+def _weighted_plane_mismatches(max_m):
+    """Del Pezzo cells (m, n, j), j = 0..3m-1, where h^0(-jK) is not
+    N_m(j(m+2)) - n j(j+1)/2, N_m counting the monomials of P(1, 1, m).
+
+    X is P(1, 1, m) blown up at n general points and -K_X pulls back from
+    O(m+2), so h^0(-jK) is N_m(j(m+2)) less n j(j+1)/2 conditions, which are
+    independent because h^1(-jK) = 0 on a del Pezzo surface (Kawamata-Viehweg).
+    Both sides are quasi-polynomials of degree 2 in j with period dividing m,
+    fixed by three values per residue class, so j < 3m covers every j.
+    """
+    for m in range(2, max_m + 1):
+        for j in range(3 * m):
+            monomials = weighted_monomial_count((1, 1, m), j * (m + 2))
+            for n in range(1, m + 6):
+                expected = monomials - n * j * (j + 1) // 2
+                if lattice.is_del_pezzo(m, n) and h0_anti_plurigenus(m, n, j) != expected:
+                    yield m, n, j
+
+
+def test_h0_matches_the_weighted_plane_count():
+    # m <= 32 takes about 0.5 s
+    assert list(_weighted_plane_mismatches(32)) == []
+
+
+def test_weighted_plane_count_catches_a_wrong_k_squared(monkeypatch):
+    original = riemann_roch._m_k_squared
+    monkeypatch.setattr(riemann_roch, "_m_k_squared",
+                        lambda m, n: original(m, n) + (2 * m if n < m + 4 else 0))
+    assert h0_anti_plurigenus(3, 5, 2) == 17
+    assert (3, 5, 2) in _weighted_plane_mismatches(3)
+    monkeypatch.undo()
+    assert h0_anti_plurigenus(3, 5, 2) == 11
+
+
 def test_weighted_monomial_count():
     assert weighted_monomial_count((1, 1), 3) == 4
     assert weighted_monomial_count((1, 1, 2), 2) == 4

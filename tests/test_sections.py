@@ -21,17 +21,28 @@ from dpforms import (
 from dpforms.sections import _divisors, primitive_integer_form
 
 
+def _form_product(*forms):
+    """Multiply binary forms given as coefficient lists, highest x power first.
+
+    Such a list is also F(1, t), t^0 first, so this multiplies polynomials too."""
+    out = [1]
+    for form in forms:
+        prod = [0] * (len(out) + len(form) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(form):
+                prod[i + j] += a * b
+        out = prod
+    return out
+
+
 def test_poly_basics():
     p = poly([1, 0, -1])
     assert p.degree == 2
     assert p(2) == -3
     assert p(Fraction(1, 2)) == Fraction(3, 4)
     assert poly_text(p) == "-t^2 + 1"
-    product = p * poly([0, 1])
-    assert product.coeffs == (0, 1, 0, -1)
     assert poly([0]).degree == -1
     assert poly_text(poly(())) == "0"
-    assert (poly([1, 1]) * poly(())).is_zero
     with pytest.raises(ParameterError):
         primitive_integer_form(poly(()))
 
@@ -83,7 +94,7 @@ def test_rational_roots():
         Fraction(1): 1,
         Fraction(-1): 1,
     }
-    doubled = poly([1, -2, 1]) * poly([-3, 2])
+    doubled = poly(_form_product([1, -2, 1], [-3, 2]))
     assert rational_roots(doubled) == {Fraction(1): 2, Fraction(3, 2): 1}
     with pytest.raises(ParameterError):
         rational_roots(poly([0]))
@@ -108,6 +119,29 @@ def test_ci_split_polynomial_example():
         Fraction(1, 2),
         Fraction(-1, 2),
     }
+
+
+def test_ci_split_polynomial_is_the_primitive_fraction_product():
+    # p(a) = (1 - a^2/4) h(1, a) multiplied out in Fractions, then made primitive
+    assert ci_split_polynomial(binary_form([1, 0, 0, 0, 0])).coeffs == (-4, 0, 1)
+    rng = random.Random(20261020)
+    seen = {"rational": 0, "zero top": 0, "zero bottom": 0, "negative lead": 0}
+    for index in range(600):
+        degree = 2 * rng.randint(2, 6)
+        form = [Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 7))) for _ in range(degree + 1)]
+        if index % 3 == 0:
+            form[-1] = 0
+        if index % 4 == 0:
+            form[0] = 0
+        if not any(form):
+            continue
+        expected, _ = primitive_integer_form(poly(_form_product(form, [1, 0, Fraction(-1, 4)])))
+        assert ci_split_polynomial(binary_form(form)).coeffs == expected, form
+        seen["rational"] += any(c.denominator > 1 for c in form)
+        seen["zero top"] += form[-1] == 0
+        seen["zero bottom"] += form[0] == 0
+        seen["negative lead"] += [c for c in form if c][-1] < 0
+    assert min(seen.values()) >= 100, seen
 
 
 def test_ci_split_polynomial_validation():
@@ -139,20 +173,20 @@ def _random_factor(rng, degree, lead_and_negative_const):
     coeffs = [rng.randint(-9, 9) for _ in range(degree)] + [rng.choice((1, -1, 2, 3, -5))]
     if lead_and_negative_const:
         coeffs[0], coeffs[-1] = rng.randint(-9, -1), rng.randint(2, 6)
-    return poly(coeffs)
+    return coeffs
 
 
 def _oracle_cases(count):
     """Seeded products of integer polynomials of degree 1 to 4."""
     rng = random.Random(20261018)
     for index in range(count):
-        p = poly([rng.choice((1, -1, 3))])
+        factors = [[rng.choice((1, -1, 3))]]
         for slot in range(rng.randint(1, 3)):
-            p = p * _random_factor(rng, rng.randint(1, 4), (index + slot) % 3 == 0)
+            factors.append(_random_factor(rng, rng.randint(1, 4), (index + slot) % 3 == 0))
         if index % 4 == 0:
             square = _random_factor(rng, 2, index % 8 == 0)
-            p = p * square * square
-        yield p
+            factors += [square, square]
+        yield poly(_form_product(*factors))
 
 
 def test_factorization_matches_sympy():
@@ -187,15 +221,14 @@ def test_factorization_matches_sympy():
 def test_factorization_multiplies_back_with_its_unit():
     for base in _oracle_cases(240):
         for scale in (1, Fraction(3, 7), Fraction(-5, 2)):
-            p = base * poly([scale])
+            p = poly(_form_product(base.coeffs, [scale]))
             result = factor_over_rationals(p)
-            product = poly([result.unit]) * (result.unresolved or poly([1]))
+            factors = [[result.unit], (result.unresolved or poly([1])).coeffs]
             for f, k in result.factors:
                 ints = [int(c) for c in f.coeffs]
                 assert list(f.coeffs) == ints and gcd(*ints) == 1 and ints[-1] > 0, (p, f)
-                for _ in range(k):
-                    product = product * f
-            assert product == p, p
+                factors += [f.coeffs] * k
+            assert poly(_form_product(*factors)) == p, p
             linear = {Fraction(-f.coeffs[0], f.coeffs[1]): k for f, k in result.factors if f.degree == 1}
             assert rational_roots(p) == linear, p
 
@@ -231,14 +264,14 @@ def _planted_root_cases(count):
     the factors stay small."""
     rng = random.Random(4099)
     for _ in range(count):
-        p = poly([rng.choice((1, -1, 2, 6))])
-        linear = poly([1])
+        factors = [[rng.choice((1, -1, 2, 6))]]
+        linear = [1]
         for _ in range(5):
             if rng.random() < 0.7:
-                linear = poly([-rng.randint(-12, 12), rng.randint(1, 12)])
-            p = p * linear
-        cofactor = [rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 9)]
-        yield p * poly(cofactor)
+                linear = [-rng.randint(-12, 12), rng.randint(1, 12)]
+            factors.append(linear)
+        factors.append([rng.randint(-9, 9) for _ in range(rng.randint(0, 4))] + [rng.randint(1, 9)])
+        yield poly(_form_product(*factors))
 
 
 def test_rational_roots_match_sympy():
@@ -312,18 +345,6 @@ def test_line_census_validation():
     shared = binary_form([1, 0, 3, 0, 2])
     with pytest.raises(ParameterError):
         line_census(shared, binary_form([1, 0, 1]))
-
-
-def _form_product(*forms):
-    """Multiply binary forms given as coefficient lists, highest x power first."""
-    out = [1]
-    for form in forms:
-        prod = [0] * (len(out) + len(form) - 1)
-        for i, a in enumerate(out):
-            for j, b in enumerate(form):
-                prod[i + j] += a * b
-        out = prod
-    return out
 
 
 def _census_refusal_cases(count):
