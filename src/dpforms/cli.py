@@ -42,11 +42,10 @@ from .lattice import HIRZEBRUCH, KINDS
 # annotations are not evaluated (PEP 563), so the Verdict and UnivariatePoly
 # of the hints below need no import
 
-# input caps: the window grows with --bound, a census with m where n >= m+4,
-# the closed forms and lattice invariants with m, the ell search with the
-# curve count, the rr table with --max-j, and the sections factorization
-# with the coefficients of its primitive integer polynomials and their degree
-MAX_BOUND = 5
+# input caps: a census grows with m where n >= m+4, the closed forms, lattice
+# invariants and classify's feasible ell with m, the ell search with the curve
+# count, the rr table with --max-j, and the sections factorization with the
+# coefficients of its primitive integer polynomials and their degree
 MAX_CENSUS_M = 12
 MAX_M = 100
 MAX_CURVES = 600
@@ -197,18 +196,14 @@ def _show_lattice(doc: dict) -> None:
 def _cmd_curves(args: argparse.Namespace) -> dict:
     from .curves import curves_meeting_q, minus_one_census
     from .lattice import build_model, is_del_pezzo
-    if args.bound < 0:
-        raise ParameterError(f"--bound must be >= 0, got {args.bound}")
-    if args.bound > MAX_BOUND:
-        raise ParameterError(f"--bound must be <= {MAX_BOUND}, got {args.bound}")
     _check_m(args.m, args.n)
     model = build_model(args.m, args.n, args.kind)
     certified = is_del_pezzo(model.m, model.n)
     header = {"m": model.m, "n": model.n, "kind": model.kind, "certified": certified}
     if args.meeting_q:
-        classes = curves_meeting_q(model, args.bound)
+        classes = curves_meeting_q(model)
         return {**header, "count": len(classes), "classes": [c.coeffs for c in classes]}
-    families = minus_one_census(model, args.bound)
+    families = minus_one_census(model)
     return {
         **header,
         "total": sum(len(fam) for fam in families),
@@ -399,6 +394,7 @@ def _show_ell(doc: dict) -> None:
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
     from .verdicts import classify
+    _check_m(args.m)
     return _verdict_doc(classify(args.m, args.n, ell=args.ell, q_point=args.q_point))
 
 
@@ -544,9 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     curves.add_argument("--kind", choices=KINDS, default=HIRZEBRUCH)
     curves.add_argument("--meeting-q", action="store_true",
                         help="restrict to classes with positive Q-intersection")
-    curves.add_argument("--bound", type=int, default=0,
-                        help="enlarge the default box of a window census (K_X^2 <= 0) by "
-                        f"this margin, 0 to {MAX_BOUND}")
     curves.set_defaults(handler=_cmd_curves, show=_show_curves)
 
     rr = sub.add_parser("rr", help="anti-plurigenus table and embedding descriptor")
@@ -563,7 +556,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ell.set_defaults(handler=_cmd_ell, show=_show_ell)
 
     classify_parser = sub.add_parser("classify", help="rationality and cylindricity verdict")
-    classify_parser.add_argument("--m", type=int, required=True)
+    classify_parser.add_argument("--m", type=int, required=True, help=f"at most {MAX_M}")
     classify_parser.add_argument("--n", type=int, required=True)
     classify_parser.add_argument("--ell", type=int)
     classify_parser.add_argument("--q-point", choices=("yes", "no", "unknown"),

@@ -63,9 +63,6 @@ class SearchBox:
             (integral("search box bound", lo), integral("search box bound", hi))
             for lo, hi in pairs))
 
-    def enlarged(self, pad: int = 1) -> "SearchBox":
-        return SearchBox(tuple((lo - pad, hi + pad) for lo, hi in self.intervals))
-
 
 def default_search_box(model: SurfaceModel) -> SearchBox:
     """The box of a window census, Hirzebruch basis only.
@@ -325,13 +322,13 @@ def brute_force_minus_one_classes(
     return _solve(model, _complete_box(model) if box is None else box)
 
 
-def minus_one_census(model: SurfaceModel, pad: int = 0) -> tuple[CurveFamily, ...]:
+def minus_one_census(model: SurfaceModel) -> tuple[CurveFamily, ...]:
     """The (-1)-class census by family.
 
     Complete by proof exactly where K_X^2 > 0 (``lattice.is_del_pezzo``): the
     closed form where one exists, else one "search" family from the complete
     search.  Elsewhere (m >= 4, n = m+5) one "search_window" family from the
-    default box enlarged by pad.
+    default box.
     """
     try:
         return closed_form_minus_one_classes(model)
@@ -339,17 +336,17 @@ def minus_one_census(model: SurfaceModel, pad: int = 0) -> tuple[CurveFamily, ..
         pass
     if is_del_pezzo(model.m, model.n):
         return (CurveFamily("search", brute_force_minus_one_classes(model)),)
-    box = default_search_box(model).enlarged(pad)
-    return (CurveFamily("search_window", brute_force_minus_one_classes(model, box)),)
+    window = brute_force_minus_one_classes(model, default_search_box(model))
+    return (CurveFamily("search_window", window),)
 
 
-def curves_meeting_q(model: SurfaceModel, pad: int = 0) -> tuple[DivisorClass, ...]:
-    """The classes of ``minus_one_census(model, pad)`` that meet Q (D.Q >= 1),
+def curves_meeting_q(model: SurfaceModel) -> tuple[DivisorClass, ...]:
+    """The classes of ``minus_one_census(model)`` that meet Q (D.Q >= 1),
     in census order: the list that ell's "auto" curves index.
 
     Plane basis: E_1..E_{m+4} then E_1'..E_{m+4}'; Hirzebruch basis: sorted.
     Complete exactly where K_X^2 > 0.
     """
     q = model.dual(model.distinguished["Q"])
-    families = minus_one_census(model, pad)
+    families = minus_one_census(model)
     return tuple(c for fam in families for c in fam.members if sum(map(mul, q, c.coeffs)) >= 1)

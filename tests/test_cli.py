@@ -79,18 +79,12 @@ def test_curves_complete_search_json(capsys):
     assert [fam["label"] for fam in doc["families"]] == ["search"]
 
 
-def test_curves_meeting_q_with_bound(capsys):
+def test_curves_meeting_q_plane_json(capsys):
     code, out, _ = _capture(
         capsys, ["curves", "--m", "2", "--n", "6", "--kind", "plane", "--meeting-q", "--json"]
     )
     assert code == 0
     assert json.loads(out)["count"] == 12
-    code, out, _ = _capture(
-        capsys,
-        ["curves", "--m", "4", "--n", "9", "--meeting-q", "--bound", "2", "--json"],
-    )
-    assert code == 0
-    assert json.loads(out)["count"] == 424  # 172 in the default box
 
 
 def test_curves_meeting_q_lists_the_ell_curves(capsys):
@@ -106,34 +100,35 @@ def test_curves_meeting_q_lists_the_ell_curves(capsys):
         code, out, _ = _capture(capsys, argv)
         assert code == 0
         assert out.splitlines()[3:] == [f"  {tuple(c)}" for c in want], model.basis_tag
-    code, out, _ = _capture(
-        capsys, ["curves", "--m", "4", "--n", "9", "--meeting-q", "--bound", "1", "--json"]
-    )
-    window = curves_meeting_q(build_model(4, 9), 1)
+    # the window of the default box at (4, 9)
+    code, out, _ = _capture(capsys, ["curves", "--m", "4", "--n", "9", "--meeting-q", "--json"])
+    window = curves_meeting_q(build_model(4, 9))
     assert code == 0 and json.loads(out)["classes"] == [list(c.coeffs) for c in window]
+    assert len(window) == 172
     # the header of the text table, certified and not
     for argv, header in (
         (["--m", "2", "--n", "5"], ["model              hirzebruch(m=2,n=5)",
                                     "certified          yes",
                                     "Q-meeting classes  6"]),
-        (["--m", "4", "--n", "9", "--bound", "1"], ["model              hirzebruch(m=4,n=9)",
-                                                    "certified          no (window census)",
-                                                    f"Q-meeting classes  {len(window)}"]),
+        (["--m", "4", "--n", "9"], ["model              hirzebruch(m=4,n=9)",
+                                    "certified          no (window census)",
+                                    "Q-meeting classes  172"]),
     ):
         code, out, _ = _capture(capsys, ["curves", *argv, "--meeting-q"])
         assert code == 0 and out.splitlines()[:3] == header
 
 
-def test_curves_negative_bound_refused(capsys):
-    for extra in ([], ["--meeting-q"]):
-        code, out, err = _capture(capsys, ["curves", "--m", "2", "--n", "1", "--bound", "-2"] + extra)
+def test_curves_takes_no_bound(capsys):
+    # the window census always searches the default box
+    for argv in (["--m", "2", "--n", "1", "--bound", "-2"], ["--m", "5", "--n", "10", "--bound", "6"],
+                 ["--m", "4", "--n", "9", "--meeting-q", "--bound", "1"]):
+        code, out, err = _capture(capsys, ["curves", *argv])
         assert code == 1 and out == ""
-        assert "--bound must be >= 0, got -2" in err
+        assert "unrecognized arguments" in err and "--bound" in err
 
 
 def test_curves_caps(capsys):
     refused = {
-        ("--m", "5", "--n", "10", "--bound", "6"): "--bound must be <= 5, got 6",
         ("--m", "13", "--n", "17"): "needs m <= 12, got m = 13",
         ("--m", "13", "--n", "17", "--kind", "plane"): "needs m <= 12, got m = 13",
     }
@@ -154,6 +149,14 @@ def test_lattice_m_cap(capsys):
     assert code == 1 and out == "" and "m must be <= 100, got 101" in err
     code, out, _ = _capture(capsys, ["lattice", "--m", "100", "--n", "1", "--json"])
     assert code == 0 and json.loads(out)["rank"] == 3
+
+
+def test_classify_m_cap(capsys):
+    # the verdict checks ell against a feasible set of m+4 values, so m is capped
+    code, out, err = _capture(capsys, ["classify", "--m", "101", "--n", "105", "--ell", "0"])
+    assert code == 1 and out == "" and "m must be <= 100, got 101" in err
+    code, out, _ = _capture(capsys, ["classify", "--m", "100", "--n", "104", "--ell", "0", "--json"])
+    assert code == 0 and json.loads(out)["citations"] == ["thm:m+4(1)"]
 
 
 def test_rr_caps(capsys):
@@ -217,7 +220,7 @@ def test_ell_refuses_oversized_auto_windows_up_front(tmp_path, capsys, monkeypat
     assert counts == [529, 871]
     assert counts[0] <= MAX_CURVES < counts[1]
 
-    def no_census(model, pad=0):
+    def no_census(model):
         raise AssertionError(f"census built for {model.basis_tag}")
 
     monkeypatch.setattr("dpforms.curves.curves_meeting_q", no_census)

@@ -90,8 +90,7 @@ def _grid() -> list[list[str]]:
                  ["--m", "3", "--n", "8"], ["--m", "2", "--n", "6", "--kind", "plane"],
                  ["--m", "2", "--n", "6", "--kind", "plane", "--meeting-q"],
                  ["--m", "3", "--n", "7", "--meeting-q"], ["--m", "4", "--n", "9"],
-                 ["--m", "4", "--n", "9", "--meeting-q", "--bound", "1"],
-                 ["--m", "5", "--n", "10", "--bound", "6"], ["--m", "2", "--n", "1", "--bound", "-2"],
+                 ["--m", "4", "--n", "9", "--meeting-q"],
                  ["--m", "13", "--n", "17"], ["--m", "13", "--n", "17", "--kind", "plane"],
                  ["--m", "13", "--n", "16"], ["--m", "12", "--n", "16", "--kind", "plane",
                                               "--meeting-q"],
@@ -115,7 +114,8 @@ def _grid() -> list[list[str]]:
                  ["--m", "3", "--n", "7", "--ell", "4"], ["--m", "2", "--n", "7", "--ell", "4"],
                  ["--m", "4", "--n", "9", "--ell", "0", "--q-point", "yes"],
                  ["--m", "5", "--n", "10", "--q-point", "no"], ["--m", "2", "--n", "6", "--ell", "nope"],
-                 ["--m", "2", "--n", "12"], ["--m", "2"]):
+                 ["--m", "2", "--n", "12"], ["--m", "2"], ["--m", "100", "--n", "104", "--ell", "0"],
+                 ["--m", "101", "--n", "105", "--ell", "0"]):
         grid.append(["classify", *argv])
     for h in ("1,0,0,0,0,0,1", "1,-4,6,-4,1", "1,0,0,0,0,0,0,0,0,0,7", "1 0 -4 0 0 0 0",
               "1,0,0,0,250001", "1,0,0,0,250000", "0,0,0", "1,oops", "1/2,0,3/4,0,1",

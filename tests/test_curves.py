@@ -30,6 +30,10 @@ from dpforms import (
 from dpforms.curves import _complete_box
 
 
+def _widened(box, margin):
+    return SearchBox(tuple((lo - margin, hi + margin) for lo, hi in box.intervals))
+
+
 def _is_minus_one(model, c) -> bool:
     mk = model.anticanonical
     return model.intersect(c, c) == -1 and model.intersect(c, mk) == 1
@@ -151,7 +155,7 @@ def test_complete_box_holds_every_solution():
               if is_del_pezzo(m, n)]
     models += [build_model(m, m + 4, PLANE) for m in range(2, 7)]
     for model in models:
-        wider = brute_force_minus_one_classes(model, _complete_box(model).enlarged(2))
+        wider = brute_force_minus_one_classes(model, _widened(_complete_box(model), 2))
         assert wider == brute_force_minus_one_classes(model), model.basis_tag
 
 
@@ -197,13 +201,13 @@ def test_empty_box_certificate():
 
 
 def test_certify_refuses_an_empty_box():
-    # enlarging the default box by -2 leaves it empty, so its window finds
-    # nothing; a certified census ignores the pad and stays complete
+    # narrowing the default box by 2 leaves it empty, so its window finds
+    # nothing; a certified census takes no box and stays complete
     model = build_model(2, 1)
-    box = default_search_box(model).enlarged(-2)
+    box = _widened(default_search_box(model), -2)
     assert any(lo > hi for lo, hi in box.intervals)
     assert brute_force_minus_one_classes(model, box=box) == ()
-    families = minus_one_census(model, pad=-2)
+    families = minus_one_census(model)
     assert [fam.label for fam in families] == [EXCEPTIONAL, FIBER_RESIDUAL]
     assert family_classes(families) == brute_force_minus_one_classes(model)
     assert all(lo <= hi for lo, hi in _complete_box(model).intervals)
@@ -214,31 +218,30 @@ def test_census_route():
     assert [fam.label for fam in families] == [EXCEPTIONAL, FIBER_RESIDUAL, Q_SECTION]
     families = minus_one_census(build_model(2, 7))
     assert [(fam.label, len(fam)) for fam in families] == [("search", 183)]
-    # K_X^2 = 0 at (4, 9): a window, which the pad enlarges
+    # K_X^2 = 0 at (4, 9): the window of the default box
     model = build_model(4, 9)
     families = minus_one_census(model)
     assert [(fam.label, len(fam)) for fam in families] == [("search_window", 820)]
-    wide = default_search_box(model).enlarged(1)
-    assert minus_one_census(model, 1)[0].members == brute_force_minus_one_classes(model, wide)
+    box = default_search_box(model)
+    assert families[0].members == brute_force_minus_one_classes(model, box)
 
 
 def test_census_route_grid():
     # complete exactly where del Pezzo: the closed form, else the no-box
-    # search; elsewhere the default-box window enlarged by the pad
+    # search; elsewhere the window of the default box
     models = [build_model(m, n) for m in range(2, 9) for n in range(1, m + 6)]
     models += [build_model(m, m + 4, PLANE) for m in range(2, 9)]
     for model in models:
-        for pad in (0, 1):
-            families = minus_one_census(model, pad)
-            window = families[0].label == "search_window"
-            assert window == (not is_del_pezzo(model.m, model.n)), model.basis_tag
-            if families[0].label == "search":
-                assert families[0].members == brute_force_minus_one_classes(model)
-            elif window:
-                box = default_search_box(model).enlarged(pad)
-                assert families[0].members == brute_force_minus_one_classes(model, box)
-            else:
-                assert families == closed_form_minus_one_classes(model)
+        families = minus_one_census(model)
+        window = families[0].label == "search_window"
+        assert window == (not is_del_pezzo(model.m, model.n)), model.basis_tag
+        if families[0].label == "search":
+            assert families[0].members == brute_force_minus_one_classes(model)
+        elif window:
+            box = default_search_box(model)
+            assert families[0].members == brute_force_minus_one_classes(model, box)
+        else:
+            assert families == closed_form_minus_one_classes(model)
 
 
 def test_meeting_q_matches_certified_search():
@@ -256,11 +259,11 @@ def test_meeting_q_matches_certified_search():
 def test_window_census_semantics():
     model = build_model(2, 7)
     base = brute_force_minus_one_classes(model, default_search_box(model))
-    widened = brute_force_minus_one_classes(model, default_search_box(model).enlarged(1))
+    widened = brute_force_minus_one_classes(model, _widened(default_search_box(model), 1))
     assert len(base) == 134
     assert len(widened) == 176
     assert {c.coeffs for c in base} <= {c.coeffs for c in widened}
-    # (m, n): window counts on the default box and on the box enlarged by 2
+    # (m, n): window counts on the default box and on the box widened by 2
     expected = {(3, 8): (339, 683), (4, 9): (820, 2404), (5, 10): (1878, 6798),
                 (6, 11): (4137, 4137), (5, 9): (237, 273)}
     for (m, n), counts in expected.items():
@@ -268,7 +271,7 @@ def test_window_census_semantics():
         box = default_search_box(model)
         got = tuple(
             len(brute_force_minus_one_classes(model, box=b))
-            for b in (box, box.enlarged(2))
+            for b in (box, _widened(box, 2))
         )
         assert got == counts, (m, n)
 
@@ -321,7 +324,7 @@ def test_boundary_census_is_stable_at_m_plus_4():
     model = build_model(2, 6)
     census = brute_force_minus_one_classes(model)
     assert len(census) == 44
-    assert brute_force_minus_one_classes(model, _complete_box(model).enlarged(1)) == census
+    assert brute_force_minus_one_classes(model, _widened(_complete_box(model), 1)) == census
 
 
 def test_meeting_q_window():
@@ -346,15 +349,12 @@ def test_e0_only_at_m_plus_5():
 
 def test_search_box_geometry():
     box = SearchBox(((0, 1), (-1, 1)))
-    grown = box.enlarged(2)
-    assert grown.intervals == ((-2, 3), (-3, 3))
+    assert box.intervals == ((0, 1), (-1, 1))
     assert SearchBox(((0.0, 1), (-1, 1.0))) == box
-    # bounds are refused, not truncated: a half pad does not quietly become 0
+    # bounds are refused, not truncated: a half bound does not quietly become 0
     for bad in (((0, 2.5),), (("1", 2),), ((0, True),)):
         with pytest.raises(ParameterError, match="search box bound must be an integer"):
             SearchBox(bad)
-    with pytest.raises(ParameterError):
-        minus_one_census(build_model(4, 9), 0.5)
     for bad in (((0, 1, 2),), (5,), ((0,),), 5):
         with pytest.raises(ParameterError, match=r"^search box intervals must be \(lo, hi\) pairs, got "):
             SearchBox(bad)

@@ -15,7 +15,7 @@ from dpforms import (
     h0_anti_plurigenus,
     k_squared_singular,
 )
-from dpforms.verification import embedded_h0, weighted_monomial_count
+from dpforms.verification import check_anti_plurigenus, embedded_h0, weighted_monomial_count
 
 
 def test_correction_residue():
@@ -97,8 +97,12 @@ def test_weighted_plane_count_catches_a_wrong_k_squared(monkeypatch):
                         lambda m, n: original(m, n) + (2 * m if n < m + 4 else 0))
     assert h0_anti_plurigenus(3, 5, 2) == 17
     assert (3, 5, 2) in _weighted_plane_mismatches(3)
+    # check 4 of the battery makes the same comparison, on 1,320 of its cells
+    result = check_anti_plurigenus()
+    assert not result.passed and result.detail.endswith("weighted plane 6 (+1317 more)")
     monkeypatch.undo()
     assert h0_anti_plurigenus(3, 5, 2) == 11
+    assert check_anti_plurigenus().passed
 
 
 def test_weighted_monomial_count():
