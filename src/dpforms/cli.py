@@ -64,9 +64,6 @@ MAX_SECTIONS_DEGREE = 16
 # integer form of about as many digits as the list stays printable by str()
 MAX_SECTIONS_DIGITS = 2000
 _EXPONENT = re.compile(r"[eE][-+]?(\d[\d_]*)")
-# "auto" curves at n = m+5 are the window census, which grows with m: 529
-# curves at m = 6 and 871 at m = 7, so from m = 7 on it exceeds MAX_CURVES
-MAX_AUTO_WINDOW_M = 6
 
 
 class _Parser(argparse.ArgumentParser):
@@ -195,11 +192,11 @@ def _show_lattice(doc: dict) -> None:
 
 def _cmd_curves(args: argparse.Namespace) -> dict:
     from .curves import curves_meeting_q, minus_one_census
-    from .lattice import build_model, is_del_pezzo
+    from .lattice import _require_del_pezzo, build_model
     _check_m(args.m, args.n)
     model = build_model(args.m, args.n, args.kind)
-    certified = is_del_pezzo(model.m, model.n)
-    header = {"m": model.m, "n": model.n, "kind": model.kind, "certified": certified}
+    _require_del_pezzo(model.m, model.n, "curves")
+    header = {"m": model.m, "n": model.n, "kind": model.kind, "certified": True}
     if args.meeting_q:
         classes = curves_meeting_q(model)
         return {**header, "count": len(classes), "classes": [c.coeffs for c in classes]}
@@ -222,7 +219,7 @@ def _cmd_curves(args: argparse.Namespace) -> dict:
 def _show_curves(doc: dict) -> None:
     pairs = [
         ("model", _model_tag(doc)),
-        ("certified", "yes" if doc["certified"] else "no (window census)"),
+        ("certified", "yes"),
     ]
     if "classes" in doc:
         _print_table(pairs + [("Q-meeting classes", str(doc["count"]))])
@@ -333,7 +330,7 @@ def _load_instance(path: str) -> dict:
 def _cmd_ell(args: argparse.Namespace) -> dict:
     from .curves import curves_meeting_q
     from .galois import GaloisAction, build_curve_system, compute_ell, orbit_partition
-    from .lattice import build_model
+    from .lattice import _require_del_pezzo, build_model
     from .verdicts import classify
     instance = _load_instance(args.instance)
     entry = instance["model"]
@@ -341,11 +338,8 @@ def _cmd_ell(args: argparse.Namespace) -> dict:
     auto = raw_curves == "auto"
     _check_m(entry["m"], entry["n"] if auto else None)
     model = build_model(entry["m"], entry["n"], entry["kind"])
-    if auto and model.n == model.m + 5 and model.m > MAX_AUTO_WINDOW_M:
-        raise ParameterError(
-            f'ell takes at most {MAX_CURVES} curves; "auto" curves at n = m+5 exceed that '
-            f"from m = {MAX_AUTO_WINDOW_M + 1} on, got m = {model.m}"
-        )
+    if auto:
+        _require_del_pezzo(model.m, model.n, '"auto" curves')
     curves = curves_meeting_q(model) if auto else [model.divisor(tuple(c)) for c in raw_curves]
     if len(curves) > MAX_CURVES:
         raise ParameterError(f"ell takes at most {MAX_CURVES} curves, got {len(curves)}")

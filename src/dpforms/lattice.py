@@ -72,6 +72,9 @@ class DivisorClass:
             raise BasisMismatchError(
                 f"classes live in different bases: {self.basis!r} vs {other.basis!r}"
             )
+        if len(self.coeffs) != len(other.coeffs):
+            raise BasisMismatchError(f"classes with {len(self.coeffs)} and {len(other.coeffs)} "
+                                     f"coefficients in basis {self.basis!r}")
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._matched(other)
@@ -287,6 +290,15 @@ def is_del_pezzo(m: int, n: int) -> bool:
     n <= m+4, and at n = m+5 only for m = 2, 3."""
     m, n = check_mn(m, n)
     return _m_k_squared(m, n) > 0
+
+
+def _require_del_pezzo(m: int, n: int, what: str) -> tuple[int, int]:
+    """(m, n) checked, refused with a ParameterError naming K_X^2 unless K_X^2 > 0."""
+    m, n = check_mn(m, n)
+    if (mk2 := _m_k_squared(m, n)) <= 0:
+        raise ParameterError(f"{what} need K_X^2 > 0; (m, n) = ({m}, {n}) has "
+                             f"K_X^2 = {Fraction(mk2, m)}")
+    return m, n
 
 
 def _pivots(gram) -> list[Fraction]:

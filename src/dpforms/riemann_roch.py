@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInvariantError, ParameterError
-from .lattice import _m_k_squared, check_mn, integral, is_del_pezzo, k_squared_singular
+from .lattice import _m_k_squared, _require_del_pezzo, check_mn, integral
 
 
 def _nonnegative_j(j) -> int:
@@ -35,14 +35,6 @@ def _nonnegative_j(j) -> int:
     if j < 0:
         raise ParameterError(f"j must be >= 0, got {j}")
     return j
-
-
-def _require_del_pezzo(m: int, n: int, what: str) -> tuple[int, int]:
-    m, n = check_mn(m, n)
-    if not is_del_pezzo(m, n):
-        raise ParameterError(f"{what} need K_X^2 > 0; (m, n) = ({m}, {n}) has "
-                             f"K_X^2 = {k_squared_singular(m, n)}")
-    return m, n
 
 
 def _residue(m: int, j: int) -> int:

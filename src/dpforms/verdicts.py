@@ -31,7 +31,7 @@ class TriState(enum.Enum):
 
 def parse_tristate(text: str) -> TriState:
     """Parse yes/no/open; "unknown" is accepted as a synonym for open."""
-    key = text.strip().lower()
+    key = text.strip().lower() if isinstance(text, str) else None
     try:
         return TriState("open" if key == "unknown" else key)
     except ValueError:
@@ -83,7 +83,7 @@ def classify(
     For odd m the q_point input is upgraded to yes (the negative section is
     forced to carry a rational point); a note records the upgrade.
     """
-    if isinstance(q_point, str):
+    if not isinstance(q_point, TriState):
         q_point = parse_tristate(q_point)
     m, n = check_mn(m, n)
 

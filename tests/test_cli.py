@@ -7,6 +7,7 @@ import runpy
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,6 @@ from dpforms import (
     PLANE,
     InternalInvariantError,
     build_model,
-    curves_meeting_q,
     standard_curve_system,
 )
 from dpforms.cli import run
@@ -61,12 +61,10 @@ def test_curves_families_json(capsys):
 
 
 def test_curves_window_json(capsys):
-    code, out, _ = _capture(capsys, ["curves", "--m", "4", "--n", "9", "--json"])
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["certified"] is False
-    assert doc["total"] == 820
-    assert doc["families"][0]["label"] == "search_window"
+    # K_X^2 = 0 at (4, 9): only a window of a search box exists there, and curves refuses it
+    code, out, err = _capture(capsys, ["curves", "--m", "4", "--n", "9", "--json"])
+    assert code == 1 and out == ""
+    assert "curves need K_X^2 > 0; (m, n) = (4, 9) has K_X^2 = 0" in err
 
 
 def test_curves_complete_search_json(capsys):
@@ -100,22 +98,11 @@ def test_curves_meeting_q_lists_the_ell_curves(capsys):
         code, out, _ = _capture(capsys, argv)
         assert code == 0
         assert out.splitlines()[3:] == [f"  {tuple(c)}" for c in want], model.basis_tag
-    # the window of the default box at (4, 9)
-    code, out, _ = _capture(capsys, ["curves", "--m", "4", "--n", "9", "--meeting-q", "--json"])
-    window = curves_meeting_q(build_model(4, 9))
-    assert code == 0 and json.loads(out)["classes"] == [list(c.coeffs) for c in window]
-    assert len(window) == 172
-    # the header of the text table, certified and not
-    for argv, header in (
-        (["--m", "2", "--n", "5"], ["model              hirzebruch(m=2,n=5)",
-                                    "certified          yes",
-                                    "Q-meeting classes  6"]),
-        (["--m", "4", "--n", "9"], ["model              hirzebruch(m=4,n=9)",
-                                    "certified          no (window census)",
-                                    "Q-meeting classes  172"]),
-    ):
-        code, out, _ = _capture(capsys, ["curves", *argv, "--meeting-q"])
-        assert code == 0 and out.splitlines()[:3] == header
+    # the header of the text table
+    code, out, _ = _capture(capsys, ["curves", "--m", "2", "--n", "5", "--meeting-q"])
+    assert code == 0 and out.splitlines()[:3] == ["model              hirzebruch(m=2,n=5)",
+                                                  "certified          yes",
+                                                  "Q-meeting classes  6"]
 
 
 def test_curves_takes_no_bound(capsys):
@@ -166,15 +153,37 @@ def test_rr_caps(capsys):
     assert code == 0 and len(json.loads(out)["rows"]) == 1000
 
 
-def test_rr_refuses_k_squared_not_positive(capsys):
-    # bad input, refused before any row: K_X^2 = -1/5 at (5, 10), 0 at (4, 9)
-    for m, n, k2 in ((5, 10, "-1/5"), (4, 9, "0"), (12, 17, "-2/3")):
-        code, out, err = _capture(capsys, ["rr", "--m", str(m), "--n", str(n), "--max-j", "12"])
-        assert code == 1 and out == ""
-        assert f"need K_X^2 > 0; (m, n) = ({m}, {n}) has K_X^2 = {k2}" in err
-    for m, n in ((4, 8), (3, 8)):
-        code, out, _ = _capture(capsys, ["rr", "--m", str(m), "--n", str(n), "--max-j", "12"])
-        assert code == 0 and out.splitlines()[-1].split()[0] == "12"
+def test_rr_refuses_k_squared_not_positive(tmp_path, capsys, monkeypatch):
+    # every front door that needs a del Pezzo surface refuses K_X^2 <= 0 the same way
+    def doors(m, n):
+        mn = ["--m", str(m), "--n", str(n)]
+        auto = tmp_path / "auto.json"
+        auto.write_text(json.dumps({"model": {"m": m, "n": n, "kind": "hirzebruch"},
+                                    "curves": "auto", "galois": []}))
+        return (("anti-plurigenus tables", ["rr", *mn, "--max-j", "12"]),
+                ("curves", ["curves", *mn]), ("curves", ["curves", *mn, "--meeting-q"]),
+                ('"auto" curves', ["ell", "--instance", str(auto)]))
+
+    for m, n in ((2, 7), (3, 8)):
+        for _, argv in doors(m, n):
+            code, out, _ = _capture(capsys, argv)
+            assert code == 0 and out, argv
+    explicit = {"model": {"m": 4, "n": 9, "kind": "hirzebruch"},
+                "curves": [[0, 1, -1] + [0] * 8], "galois": []}
+    code, out, _ = _ell(tmp_path, capsys, explicit)
+    assert code == 0 and json.loads(out)["curve_count"] == 1
+
+    def no_census(model):
+        raise AssertionError(f"census built for {model.basis_tag}")
+
+    monkeypatch.setattr("dpforms.curves.minus_one_census", no_census)
+    monkeypatch.setattr("dpforms.curves.curves_meeting_q", no_census)
+    # refused before any row or census: K_X^2 = 0 at (4, 9), -1/5 at (5, 10), -2/3 at (12, 17)
+    for m, n, k2 in ((4, 9, "0"), (5, 10, "-1/5"), (12, 17, "-2/3")):
+        for what, argv in doors(m, n):
+            code, out, err = _capture(capsys, argv)
+            assert code == 1 and out == "", argv
+            assert f"{what} need K_X^2 > 0; (m, n) = ({m}, {n}) has K_X^2 = {k2}" in err, argv
 
 
 def _ell(tmp_path, capsys, doc):
@@ -212,23 +221,18 @@ def test_ell_caps(tmp_path, capsys, monkeypatch):
 
 
 def test_ell_refuses_oversized_auto_windows_up_front(tmp_path, capsys, monkeypatch):
-    from dpforms.cli import MAX_AUTO_WINDOW_M, MAX_CURVES
-
-    # the premise: the (m, m+5) window fits the cap up to MAX_AUTO_WINDOW_M only
-    counts = [len(curves_meeting_q(build_model(m, m + 5)))
-              for m in (MAX_AUTO_WINDOW_M, MAX_AUTO_WINDOW_M + 1)]
-    assert counts == [529, 871]
-    assert counts[0] <= MAX_CURVES < counts[1]
-
+    # K_X^2 = (4 - m)/m <= 0 at every (m, m+5) from m = 4 on: "auto" curves are refused
+    # there before their census is built
     def no_census(model):
         raise AssertionError(f"census built for {model.basis_tag}")
 
     monkeypatch.setattr("dpforms.curves.curves_meeting_q", no_census)
-    for m in range(MAX_AUTO_WINDOW_M + 1, 13):
+    for m in range(4, 13):
         model = {"m": m, "n": m + 5, "kind": "hirzebruch"}
         code, out, err = _ell(tmp_path, capsys, {"model": model, "curves": "auto", "galois": []})
         assert code == 1 and out == ""
-        assert f'at most 600 curves; "auto" curves at n = m+5 exceed that from m = 7 on, got m = {m}' in err
+        assert (f'"auto" curves need K_X^2 > 0; (m, n) = ({m}, {m + 5}) '
+                f"has K_X^2 = {Fraction(4 - m, m)}") in err
 
 
 def test_rr_table(capsys):

@@ -188,6 +188,18 @@ def test_sum_and_difference_across_bases_refused():
             combine(b)
 
 
+def test_sum_and_difference_of_unequal_lengths_refused():
+    # a DivisorClass built directly can carry a model's tag with the wrong length;
+    # arithmetic refuses it instead of truncating to the shorter vector
+    a = build_model(2, 3).divisor((0, 1, 0, 0, 0))
+    b = DivisorClass("hirzebruch(m=2,n=3)", (1,))
+    for x, y, lengths in ((a, b, "5 and 1"), (b, a, "1 and 5")):
+        for combine in (x.__add__, x.__sub__):
+            with pytest.raises(BasisMismatchError, match=f"classes with {lengths} coefficients "
+                                                         "in basis 'hirzebruch"):
+                combine(y)
+
+
 def test_divisor_length_checked():
     model = build_model(2, 5)
     with pytest.raises(ParameterError):

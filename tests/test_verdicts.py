@@ -26,6 +26,17 @@ def test_tristate_parsing():
         parse_tristate("maybe")
 
 
+def test_classify_parses_any_q_point_that_is_not_a_tristate():
+    # only a TriState passes unparsed: a str is parsed, and anything else is refused
+    assert classify(2, 1, q_point=TriState.NO).rational is TriState.NO
+    assert classify(2, 1, q_point="no").rational is TriState.NO
+    for value in (5, None, b"no", True):
+        with pytest.raises(ParameterError, match=f"expected yes, no, or unknown, got {value!r}"):
+            parse_tristate(value)
+        with pytest.raises(ParameterError, match=f"got {value!r}"):
+            classify(2, 1, q_point=value)
+
+
 def test_is_del_pezzo():
     assert is_del_pezzo(2, 7)
     assert is_del_pezzo(3, 8)
