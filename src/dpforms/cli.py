@@ -245,6 +245,10 @@ def _cmd_rr(args: argparse.Namespace) -> dict:
         raise ParameterError(f"--max-j must be <= {MAX_J}, got {args.max_j}")
     if args.max_j is None and args.n is not None:
         check_mn(args.m, args.n)  # the table checks n itself, after max_j
+    if args.embedding and args.n is not None and args.n != args.m + 4:
+        check_mn(args.m, args.n)  # an out-of-range n is refused as such
+        raise ParameterError(f"--embedding describes the surface with n = m+4 = {args.m + 4}, "
+                             f"got n = {args.n}")
 
     doc: dict = {"m": args.m}
     if args.max_j is not None:

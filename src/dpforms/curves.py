@@ -18,7 +18,8 @@ search loops over the head coordinates outside the block, which fix the
 block's sum and sum of squares, finds each block as a nonincreasing tuple
 (its entries are -D.E_i <= 0 unless D = E_i), expands it into the orderings
 that fit the box, and adds the tested classes that are themselves
-(-1)-classes.
+(-1)-classes.  Its kernel ``_solve`` returns the sorted coefficient
+vectors, which the verification battery compares without building classes.
 
 Without a box the search runs once on ``_complete_box``, which holds every
 solution by a Cauchy-Schwarz bound wherever K_X^2 > 0 (the del Pezzo range),
@@ -227,7 +228,11 @@ def _place(out, cur, values, counts, intervals) -> None:
             counts[k] += 1
 
 
-def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
+def _solve(model: SurfaceModel, box: SearchBox | None = None) -> list[tuple[int, ...]]:
+    """The census kernel: the sorted coefficient vectors of the solutions in
+    the box, by default ``_complete_box(model)``."""
+    if box is None:
+        box = _complete_box(model)
     if len(box.intervals) != model.rank:
         raise ParameterError(
             f"search box has {len(box.intervals)} intervals, model rank is {model.rank}"
@@ -269,7 +274,7 @@ def _solve(model: SurfaceModel, box: SearchBox) -> tuple[DivisorClass, ...]:
     for prefix, suffix, total, squares in heads:
         for block in _blocks(stop - start, total, squares, floor, ceiling):
             sols.extend(prefix + v + suffix for v in _orderings(block, block_iv))
-    return tuple(model.divisor(v) for v in sorted(sols))
+    return sorted(sols)
 
 
 def _complete_box(model: SurfaceModel) -> SearchBox:
@@ -319,7 +324,7 @@ def brute_force_minus_one_classes(
     which raises UnsupportedModelError where K_X^2 <= 0.  With a box, exactly
     the solutions inside it (a window census).
     """
-    return _solve(model, _complete_box(model) if box is None else box)
+    return tuple(model.divisor(v) for v in _solve(model, box))
 
 
 def minus_one_census(model: SurfaceModel) -> tuple[CurveFamily, ...]:

@@ -33,7 +33,10 @@ purely as a cross-check.  It shares no mask with the search: it derives its
 own from ``pair_gram`` and tabulates, for every subset of each half of the
 orbits, the union U of their members and the union N of the curves those
 members meet, and tests each union of orbits by the two defining conditions,
-U inside the curves that meet Q and U & N == 0, with no pruning.
+U inside the curves that meet Q and U & N == 0, with no pruning.  Each
+checks its action once with `validate_action` and then runs its core,
+`_ell` or `_brute_ell`; a caller that has validated the action itself calls
+the cores.
 
 ell never exceeds rank(Pic) - 1: pairwise disjoint (-1)-curves have Gram
 matrix -I, so they span a negative definite subspace, and Pic has signature
@@ -265,6 +268,11 @@ def compute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
     deterministic.
     """
     _require_valid(system, action)
+    return _ell(system, action)
+
+
+def _ell(system: CurveSystem, action: GaloisAction) -> EllResult:
+    """`compute_ell` on an action that `validate_action` has passed."""
     masks = system.masks
     off_q = sum(1 << i for i, q in enumerate(system.q_incidence) if q < 1)
     # admissible: every member meets Q, and no member meets another
@@ -346,6 +354,12 @@ def brute_force_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
             f"brute force supports at most {BRUTE_FORCE_LIMIT} curves, got {len(system)}"
         )
     _require_valid(system, action)
+    return _brute_ell(system, action)
+
+
+def _brute_ell(system: CurveSystem, action: GaloisAction) -> EllResult:
+    """`brute_force_ell` on at most BRUTE_FORCE_LIMIT curves and an action
+    that `validate_action` has passed."""
     orbits = orbit_partition(action)
     gram = system.pair_gram
     meets = [sum(1 << j for j, x in enumerate(row) if x != 0 and j != i)

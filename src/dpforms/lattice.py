@@ -302,15 +302,17 @@ def _require_del_pezzo(m: int, n: int, what: str) -> tuple[int, int]:
 
 
 def _pivots(gram) -> list[Fraction]:
-    """Diagonal of an exact symmetric congruence diagonalization over Fraction.
+    """Diagonal of an exact symmetric congruence diagonalization, as Fractions.
 
-    A row and column that are already zero are skipped and contribute a 0
-    pivot, and a zero entry below a pivot is skipped before any division, so
-    a nearly diagonal matrix costs few Fraction operations.  Every step
-    (swap, fold, elimination) is a congruence by a matrix of determinant
-    +-1, so the determinant is the product of the pivots.
+    Int entries stay ints until a division makes a Fraction; any other entry
+    becomes a Fraction first.  A row and column that are already zero are
+    skipped and contribute a 0 pivot, and a zero entry below a pivot is
+    skipped before any division, so a nearly diagonal integer matrix costs
+    few Fraction operations.  Every step (swap, fold, elimination) is a
+    congruence by a matrix of determinant +-1, so the determinant is the
+    product of the pivots.
     """
-    a = [[Fraction(x) for x in row] for row in gram]
+    a = [[x if type(x) is int else Fraction(x) for x in row] for row in gram]
     r = len(a)
     for row in a:
         if len(row) != r:
@@ -338,11 +340,11 @@ def _pivots(gram) -> list[Fraction]:
                 for i in range(r):
                     a[i][k] += a[i][off]
         d = a[k][k]
-        pivots.append(d)
+        pivots.append(Fraction(d))
         for i in range(k + 1, r):
             if not a[i][k]:
                 continue
-            f = a[i][k] / d
+            f = Fraction(a[i][k]) / d
             for j in range(r):
                 a[i][j] -= f * a[k][j]
             for i2 in range(r):
@@ -357,7 +359,7 @@ def _signature(pivots) -> tuple[int, int]:
 def signature_of(gram) -> tuple[int, int]:
     """Signature (positive, negative) of a symmetric rational matrix.
 
-    Exact symmetric congruence diagonalization over Fraction; no eigenvalues,
+    Exact symmetric congruence diagonalization over the rationals; no eigenvalues,
     no floating point.
     """
     return _signature(_pivots(gram))

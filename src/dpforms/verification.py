@@ -24,7 +24,7 @@ from operator import mul
 
 from .curves import (
     PLANE_DEGREE,
-    brute_force_minus_one_classes,
+    _solve,
     closed_form_minus_one_classes,
     default_search_box,
     distinguished_e0,
@@ -35,7 +35,8 @@ from .galois import (
     CurveSystem,
     EllResult,
     GaloisAction,
-    brute_force_ell,
+    _brute_ell,
+    _ell,
     build_curve_system,
     compute_ell,
     standard_curve_system,
@@ -82,7 +83,7 @@ def check_census_equivalence() -> CheckResult:
         for n in range(1, m + 4):
             model = build_model(m, n, HIRZEBRUCH)
             closed = [c.coeffs for c in family_classes(closed_form_minus_one_classes(model))]
-            brute = [c.coeffs for c in brute_force_minus_one_classes(model)]
+            brute = _solve(model)
             checked += 1
             if closed != brute:
                 problems.append(
@@ -102,14 +103,14 @@ def check_plane_census() -> CheckResult:
         q = named["Q"]
         e = [named[f"E_{i}"] for i in range(1, m + 5)]
         ep = [named[f"E_{i}'"] for i in range(1, m + 5)]
-        census = brute_force_minus_one_classes(model)
+        census = _solve(model)
         # one row each for Q, E_1..E_{m+4}, E_1'..E_{m+4}': its pairings with the census
-        table = _products([model.dual(w) for w in [q, *e, *ep]], [c.coeffs for c in census])[0]
+        table = _products([model.dual(w) for w in [q, *e, *ep]], census)[0]
         q_row, e_rows, ep_rows = table[0], table[1 : m + 5], table[m + 5 :]
         meeting = [c for c, x in zip(census, q_row) if x >= 1]
         if len(meeting) != 2 * m + 8:
             problems.append(f"m={m}: {len(meeting)} Q-meeting classes, expected {2 * m + 8}")
-        meeting_set = {c.coeffs for c in meeting}
+        meeting_set = set(meeting)
         cross = _products([model.dual(x) for x in e], [x.coeffs for x in ep])[0]
         for i in range(m + 4):
             if e[i].coeffs not in meeting_set or ep[i].coeffs not in meeting_set:
@@ -124,7 +125,7 @@ def check_plane_census() -> CheckResult:
             c for fam in closed_form_minus_one_classes(model) if fam.label == PLANE_DEGREE
             for c in fam.members
         ]
-        if sorted(census[k].coeffs for k in avoiding) != sorted(c.coeffs for c in closed_avoiding):
+        if sorted(census[k] for k in avoiding) != sorted(c.coeffs for c in closed_avoiding):
             problems.append(f"m={m}: Q-avoiding search disagrees with closed form")
         expected = sum(comb(m + 4, 2 * d) for d in range(m // 2 + 3))
         if len(avoiding) != expected:
@@ -132,15 +133,15 @@ def check_plane_census() -> CheckResult:
         checked += 1
         for k in avoiding:
             c = census[k]
-            d = c.coeffs[0]
-            middles = c.coeffs[1 : m + 5]
-            if c.coeffs[m + 5] != -(d - 1):
-                problems.append(f"m={m}: class {c.coeffs} violates the last-coefficient law")
+            d = c[0]
+            middles = c[1 : m + 5]
+            if c[m + 5] != -(d - 1):
+                problems.append(f"m={m}: class {c} violates the last-coefficient law")
             if sorted(set(middles) - {0, -1}) or middles.count(-1) != 2 * d:
-                problems.append(f"m={m}: class {c.coeffs} is not a 2d-subset class")
+                problems.append(f"m={m}: class {c} is not a 2d-subset class")
             for i in range(m + 4):
                 if e_rows[i][k] + ep_rows[i][k] != 1:
-                    problems.append(f"m={m}: class {c.coeffs} breaks E.(E_i + E_i') = 1")
+                    problems.append(f"m={m}: class {c} breaks E.(E_i + E_i') = 1")
             checked += 1
     return _result(2, "lem:(-1)curves", "plane-basis census: pairing law and binomial counts",
                    problems, checked)
@@ -152,13 +153,12 @@ def check_incidence_law() -> CheckResult:
     checked = 0
     for m in (2, 3, 4):
         model = build_model(m, m + 5, HIRZEBRUCH)
-        census = brute_force_minus_one_classes(model, default_search_box(model))
+        coeffs = _solve(model, default_search_box(model))
         e0 = distinguished_e0(model)
         q = model.distinguished["Q"]
         if not (model.anticanonical - q - e0).is_zero():
             problems.append(f"m={m}: -K - Q - E_0 is nonzero")
         # a list scans by equality: a set of these vectors would hash many alike
-        coeffs = [c.coeffs for c in census]
         if e0.coeffs not in coeffs:
             problems.append(f"m={m}: E_0 missing from the census window")
         e0_row, q_row = model.dual(e0), model.dual(q)
@@ -236,11 +236,10 @@ def check_anti_plurigenus() -> CheckResult:
     # X blows up P(1, 1, m) at n general points, -K_X pulls back from O(m+2) and
     # h^1(-jK) = 0, so h^0(-jK) = N_m(j(m+2)) - n j(j+1)/2, N_m counting monomials
     for m in range(2, 13):
+        del_pezzo = [n for n in range(1, m + 6) if is_del_pezzo(m, n)]
         for j in range(1, 13):
             monomials = weighted_monomial_count((1, 1, m), j * (m + 2))
-            for n in range(1, m + 6):
-                if not is_del_pezzo(m, n):
-                    continue
+            for n in del_pezzo:
                 checked += 1
                 try:
                     got = h0_anti_plurigenus(m, n, j)
@@ -396,10 +395,14 @@ def check_ell_engine() -> CheckResult:
     checked = 0
 
     def agree(system: CurveSystem, action: GaloisAction, expect: int | None,
-              label: str) -> EllResult:
+              label: str) -> EllResult | None:
         nonlocal checked
-        fast = compute_ell(system, action)
-        slow = brute_force_ell(system, action)
+        report = validate_action(system, action)
+        if not report.ok:
+            problems.append(f"{label}: constructed action invalid: {report.violations[0]}")
+            return None
+        fast = _ell(system, action)
+        slow = _brute_ell(system, action)
         checked += 1
         if fast.ell != slow.ell:
             problems.append(f"{label}: search {fast.ell} != oracle {slow.ell}")
@@ -434,11 +437,13 @@ def check_ell_engine() -> CheckResult:
         m = 2 if trial % 2 == 0 else 3
         system = systems[m]
         action = _random_plane_action(rng, m + 4, rng.randint(1, 3))
-        report = validate_action(system, action)
-        if not report.ok:
-            problems.append(f"trial {trial}: constructed action invalid: {report.violations[0]}")
-            continue
         agree(system, action, None, f"trial {trial}")
+    # every coarsening trial on a system shares the bound of its trivial action
+    trivial_ell = {m: compute_ell(system, GaloisAction.trivial(len(system))).ell
+                   for m, system in systems.items()}
+    for m, ell in trivial_ell.items():
+        if ell != m + 4:
+            problems.append(f"plane m={m}: trivial ell {ell} != {m + 4}")
     for trial in range(20):
         m = 2 if trial % 2 == 0 else 3
         system = systems[m]
@@ -447,14 +452,11 @@ def check_ell_engine() -> CheckResult:
         coarser = GaloisAction(base.degree, base.generators + extra.generators)
         ell_base = compute_ell(system, base).ell
         ell_coarse = compute_ell(system, coarser).ell
-        ell_trivial = compute_ell(system, GaloisAction.trivial(base.degree)).ell
         checked += 1
-        if not ell_coarse <= ell_base <= ell_trivial:
+        if not ell_coarse <= ell_base <= trivial_ell[m]:
             problems.append(
-                f"coarsening trial {trial}: {ell_coarse} <= {ell_base} <= {ell_trivial} fails"
+                f"coarsening trial {trial}: {ell_coarse} <= {ell_base} <= {trivial_ell[m]} fails"
             )
-        if ell_trivial != m + 4:
-            problems.append(f"coarsening trial {trial}: trivial ell {ell_trivial} != {m + 4}")
     for trial in range(10):
         m = 2 if trial % 2 == 0 else 3
         system = systems[m]

@@ -11,6 +11,7 @@ enforced where the criterion gives one.
 import dataclasses
 import time
 from fractions import Fraction
+from operator import mul
 
 from dpforms import verification
 from dpforms.curves import distinguished_e0
@@ -84,28 +85,28 @@ def test_criterion_9_lattice_hygiene():
 
 
 def test_census_checks_fail_on_corrupted_input(monkeypatch):
-    census = verification.brute_force_minus_one_classes
+    census = verification._solve
     h0 = verification.h0_anti_plurigenus
 
     def drop_one_meeting(model, box=None):
-        classes = census(model, box)
-        q = model.distinguished["Q"]
-        k = next(i for i, c in enumerate(classes) if model.intersect(c, q) >= 1)
-        return classes[:k] + classes[k + 1:]
+        vectors = census(model, box)
+        q = model.dual(model.distinguished["Q"])
+        k = next(i for i, v in enumerate(vectors) if sum(map(mul, q, v)) >= 1)
+        return vectors[:k] + vectors[k + 1:]
 
     def add_fiber(model, box=None):
-        return census(model, box) + (model.distinguished["F"],)
+        return census(model, box) + [model.distinguished["F"].coeffs]
 
-    monkeypatch.setattr(verification, "brute_force_minus_one_classes", drop_one_meeting)
+    monkeypatch.setattr(verification, "_solve", drop_one_meeting)
     result = check_plane_census()
     assert not result.passed and "Q-meeting classes, expected" in result.detail
 
     # F.E_0 = F.Q = 1
-    monkeypatch.setattr(verification, "brute_force_minus_one_classes", add_fiber)
+    monkeypatch.setattr(verification, "_solve", add_fiber)
     result = check_incidence_law()
     assert not result.passed and "(E.E_0, E.Q) = (1, 1)" in result.detail
 
-    monkeypatch.setattr(verification, "brute_force_minus_one_classes", census)
+    monkeypatch.setattr(verification, "_solve", census)
     monkeypatch.setattr(verification, "h0_anti_plurigenus", lambda m, n, j: h0(m, n, j) + 1)
     result = check_anti_plurigenus()
     assert not result.passed and "h0(-K) != 2 at m=3" in result.detail
@@ -145,21 +146,43 @@ def test_check_6_fails_on_a_wrong_verdict(monkeypatch):
 
 
 def test_check_7_fails_on_a_wrong_ell_or_witness(monkeypatch):
-    compute_ell = verification.compute_ell
+    ell = verification._ell
 
     def one_too_many(system, action):
-        result = compute_ell(system, action)
+        result = ell(system, action)
         return dataclasses.replace(result, ell=result.ell + 1)
 
     def foreign_curve(system, action):
-        result = compute_ell(system, action)
+        result = ell(system, action)
         foreign = next(i for i in range(len(system)) if i not in result.witness)
         return dataclasses.replace(result, witness=result.witness[:-1] + (foreign,))
 
-    monkeypatch.setattr(verification, "compute_ell", one_too_many)
+    monkeypatch.setattr(verification, "_ell", one_too_many)
     _fails(check_ell_engine, "plane m=2 trivial: search 7 != oracle 6")
-    monkeypatch.setattr(verification, "compute_ell", foreign_curve)
+    monkeypatch.setattr(verification, "_ell", foreign_curve)
     _fails(check_ell_engine, "plane m=2 trivial: witness fails its own definition")
+
+
+def test_check_7_reports_an_invalid_constructed_action(monkeypatch):
+    random_action = verification._random_plane_action
+    draws = []
+
+    def unpaired_first(rng, half, generator_count):
+        # the first draw sends E_1 and E_2 to each other's images while E_1'
+        # and E_2' keep theirs, so E_1.E_1' = 1 is not preserved
+        action = random_action(rng, half, generator_count)
+        draws.append(action)
+        if len(draws) > 1:
+            return action
+        gen = list(action.generators[0])
+        gen[0], gen[1] = gen[1], gen[0]
+        return GaloisAction(action.degree, (tuple(gen),) + action.generators[1:])
+
+    monkeypatch.setattr(verification, "_random_plane_action", unpaired_first)
+    result = check_ell_engine()
+    assert not result.passed
+    assert result.detail.startswith("trial 0: constructed action invalid: generator 1: curves (1,")
+    assert ";" not in result.detail, result.detail
 
 
 def test_check_8_fails_on_an_extra_root(monkeypatch):

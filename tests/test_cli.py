@@ -267,6 +267,16 @@ def test_rr_refuses_an_out_of_range_n(capsys):
     assert code == 0 and out == "embedding: complete intersection of degrees 6, 6 in P(1,1,3,3,5)\n"
 
 
+def test_rr_embedding_refuses_an_n_other_than_m_plus_4(capsys):
+    # the descriptor is that of (m, m+4): (2, 6) has h0(-K) = 3, (2, 3) has 6
+    for n, j in (("3", ["--max-j", "2"]), ("3", []), ("7", [])):
+        code, out, err = _capture(capsys, ["rr", "--m", "2", "--n", n, *j, "--embedding"])
+        assert code == 1 and out == ""
+        assert err == f"error: --embedding describes the surface with n = m+4 = 6, got n = {n}\n"
+    code, out, _ = _capture(capsys, ["rr", "--m", "2", "--n", "6", "--max-j", "1", "--embedding"])
+    assert code == 0 and out.endswith("embedding: hypersurface of degree 4 in P(1,1,1,2)\n")
+
+
 def test_classify_json(capsys):
     code, out, _ = _capture(
         capsys, ["classify", "--m", "3", "--n", "7", "--ell", "4", "--json"]

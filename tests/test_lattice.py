@@ -154,6 +154,41 @@ def test_signature_and_determinant_match_sympy():
         assert prod(_pivots(a), start=Fraction(1)) == mat.det(), a
 
 
+def test_integer_pivots_match_sympy():
+    # int entries stay ints until a division; every pivot is still a Fraction
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(20261021)
+    grams = []
+    for trial in range(120):
+        r = rng.randint(1, 8)
+        a = [[0] * r for _ in range(r)]
+        for i in range(r):
+            for j in range(i + 1):
+                a[i][j] = a[j][i] = rng.randint(-3, 3)
+        if trial % 2:  # zero diagonal: the swap finds no pivot and the fold runs
+            for i in range(r):
+                a[i][i] = 0
+        grams.append(a)
+    # the models whose invariants the lattice self-check compares
+    grams += [build_model(m, n).gram for m in range(2, 7) for n in range(1, m + 6)]
+    grams += [build_model(m, m + 4, PLANE).gram for m in range(2, 7)]
+    for a in grams:
+        mat = sympy.Matrix(a)
+        coeffs = mat.charpoly().all_coeffs()  # highest degree first
+        while coeffs[-1] == 0:  # divide out the zero roots
+            coeffs.pop()
+        flipped = [c * (-1) ** (len(coeffs) - 1 - k) for k, c in enumerate(coeffs)]
+        pivots = _pivots(a)
+        assert all(type(p) is Fraction for p in pivots), a
+        assert prod(pivots, start=Fraction(1)) == mat.det(), a
+        # all roots are real, so Descartes' rule counts them exactly
+        signature = (_sign_changes(coeffs), _sign_changes(flipped))
+        assert signature_of(a) == signature, a
+        # Fraction and float entries take the same steps at half the scale
+        assert _pivots([[Fraction(x, 2) for x in row] for row in a]) == [p / 2 for p in pivots]
+        assert signature_of([[x / 2 for x in row] for row in a]) == signature, a
+
+
 def test_k_squared_matches_the_fraction_formula():
     # the formula 8 - n + (m-2)^2/m that m K_X^2 = (m+2)^2 - nm replaced
     for m in range(2, 101):
